@@ -739,6 +739,44 @@ let smoke () =
   Fmt.pr "smoke: qft_16 on tokyo: %d evals (ceiling %d), %d rescores@."
     stats16.Codar.Stats.heuristic_evals eval_ceiling
     stats16.Codar.Stats.swap_rescores;
+  (* placement allocation fence: SABRE's reverse traversal keeps its front
+     by in-degree and reuses one set of scratch buffers, so what it
+     allocates per input gate is the DAG and the reversed circuit, not a
+     per-SWAP-step rebuild. Deterministic (allocation counts, not time):
+     the bounds sit at 2x the measured value, so a quadratic front rescan
+     or per-step allocation creeping back fails runtest. Times are printed
+     for information only. *)
+  List.iter
+    (fun (name, coupling, bound) ->
+      let circuit =
+        match Workloads.Suite.find name with
+        | Some e -> Lazy.force e.circuit
+        | None -> Fmt.failwith "smoke: benchmark %s missing" name
+      in
+      let maqam = Arch.Maqam.make ~coupling ~durations:superconducting in
+      let allocated () =
+        (* the counters only catch up with the minor heap at a collection *)
+        Gc.minor ();
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let words0 = allocated () in
+      let t0 = Unix.gettimeofday () in
+      ignore (Sabre.Initial_mapping.reverse_traversal ~maqam circuit);
+      let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      let words = allocated () -. words0 in
+      let per_gate = words /. float_of_int (Qc.Circuit.length circuit) in
+      Fmt.pr "smoke: reverse_traversal %s/%s: %.1f words/gate (bound %.0f), %.1f ms@."
+        name (Arch.Coupling.name coupling) per_gate bound ms;
+      if per_gate > bound then
+        Fmt.failwith
+          "smoke: reverse_traversal on %s/%s allocated %.1f words per gate \
+           (bound %.0f) — per-step allocation in the SABRE loop?"
+          name (Arch.Coupling.name coupling) per_gate bound)
+    (* measured 181.3 and 202.5 words/gate; the rescanning loop allocated
+       5170 and 37245 *)
+    [ ("qft_16", Arch.Devices.ibm_q20_tokyo, 363.);
+      ("rand_36", Arch.Devices.sycamore_54, 405.) ];
   (* parallel path: the pool and the portfolio must agree with their
      sequential selves on every runtest *)
   let circuits =

@@ -6,9 +6,9 @@ let reverse_traversal ?initial ?(iterations = 1)
   let rec go layout k =
     if k = 0 then layout
     else
-      let _, after_fwd = Router.route_gates ~config ~maqam ~initial:layout circuit in
-      let _, after_bwd =
-        Router.route_gates ~config ~maqam ~initial:after_fwd reversed
+      let after_fwd = Router.final_layout ~config ~maqam ~initial:layout circuit in
+      let after_bwd =
+        Router.final_layout ~config ~maqam ~initial:after_fwd reversed
       in
       go after_bwd (k - 1)
   in

@@ -15,178 +15,409 @@ let default_config =
 
 exception Stuck of string
 
+(* Growable int buffer: the router's scratch, cleared by resetting [len]
+   and reused across steps, so a route allocates only when a buffer first
+   outgrows its previous peak. *)
+type vec = { mutable data : int array; mutable len : int }
+
+let vec n = { data = Array.make (max 1 n) 0; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.data then begin
+    let d = Array.make (2 * v.len) 0 in
+    Array.blit v.data 0 d 0 v.len;
+    v.data <- d
+  end;
+  v.data.(v.len) <- x;
+  v.len <- v.len + 1
+
+(* In-place heapsort of [a.(0 .. len-1)]. *)
+let rec sift a root last =
+  let c = (2 * root) + 1 in
+  if c <= last then begin
+    let c = if c < last && a.(c) < a.(c + 1) then c + 1 else c in
+    if a.(root) < a.(c) then begin
+      let t = a.(root) in
+      a.(root) <- a.(c);
+      a.(c) <- t;
+      sift a c last
+    end
+  end
+
+let sort_prefix a len =
+  for i = (len / 2) - 1 downto 0 do
+    sift a i (len - 1)
+  done;
+  for last = len - 1 downto 1 do
+    let t = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- t;
+    sift a 0 (last - 1)
+  done
+
 type state = {
   maqam : Arch.Maqam.t;
+  coupling : Arch.Coupling.t;
   config : config;
+  n_phys : int;
+  table : int array;  (** dense distance table; [[||]] on the sparse backend *)
   dag : Qc.Dag.t;
-  done_ : bool array;
-  mutable n_done : int;
-  mutable layout : Arch.Layout.t;
+  layout : Arch.Layout.t;  (** private copy, swapped in place *)
+  record : bool;  (** whether to build the gate list ({!run} only) *)
   mutable out_rev : (Qc.Gate.t * bool) list;
+  (* the front: ready nodes in ascending order, ready meaning no
+     unfinished predecessor left in [pending] *)
+  pending : int array;
+  front : vec;
+  rest : vec;
+  ready : vec;
+  (* decay factors: [decay.(p)] is live only while [decay_at.(p)] equals
+     [decay_epoch]; otherwise p's factor is 1, so a reset is O(1) *)
   decay : float array;
+  decay_at : int array;
+  mutable decay_epoch : int;
   mutable swaps_since_reset : int;
   mutable swap_budget : int;
+  (* per-SWAP-step scratch, epoch-stamped by [step]: pairs [0, n_front) are
+     the front's, the rest the extended set's in BFS order; [pa]/[pb] hold
+     their physical endpoints, [pd] the current distance *)
+  mutable step : int;
+  pa : vec;
+  pb : vec;
+  pd : vec;
+  queue : vec;
+  visited : int array;  (** BFS stamp per DAG node *)
+  (* incidence: slot [2k] is pair k's [pa] end, [2k+1] its [pb] end; the
+     slots at physical p are chained from [head.(p)] through [link] *)
+  head : int array;
+  head_at : int array;
+  link : vec;
+  cands : vec;  (** SWAP edges as sorted keys [lo * n_phys + hi] *)
+  mutable df : int;  (** [delta]'s result *)
+  mutable de : int;
 }
 
-let front st = Qc.Dag.front_layer st.dag ~done_:st.done_
+let dist st a b =
+  if Array.length st.table > 0 then st.table.((a * st.n_phys) + b)
+  else Arch.Coupling.distance_raw st.coupling a b
 
-(* Extended set: the nearest not-yet-done successors of the front gates,
-   breadth-first, capped at [extended_size] two-qubit gates. *)
-let extended_set st f =
-  let acc = ref [] and count = ref 0 in
-  let queue = Queue.create () in
-  List.iter (fun i -> List.iter (fun s -> Queue.add s queue) (Qc.Dag.succs st.dag i)) f;
-  let visited = Hashtbl.create 32 in
-  while (not (Queue.is_empty queue)) && !count < st.config.extended_size do
-    let i = Queue.pop queue in
-    if not (Hashtbl.mem visited i) then begin
-      Hashtbl.replace visited i ();
-      if not st.done_.(i) then begin
-        (match Qc.Dag.gate st.dag i with
-        | Qc.Gate.Two (_, q1, q2) ->
-          acc := (q1, q2) :: !acc;
-          incr count
-        | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> ());
-        List.iter (fun s -> Queue.add s queue) (Qc.Dag.succs st.dag i)
+let phys st q = Arch.Layout.phys_of_log st.layout q
+
+let decay st p = if st.decay_at.(p) = st.decay_epoch then st.decay.(p) else 1.
+
+let reset_decay st =
+  st.decay_epoch <- st.decay_epoch + 1;
+  st.swaps_since_reset <- 0
+
+let bump_decay st p =
+  st.decay.(p) <- decay st p +. st.config.decay_delta;
+  st.decay_at.(p) <- st.decay_epoch
+
+let fits st g =
+  match g with
+  | Qc.Gate.Two (_, q1, q2) -> Arch.Coupling.adjacent st.coupling (phys st q1) (phys st q2)
+  | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> true
+
+let rec release st = function
+  | [] -> ()
+  | s :: rest ->
+    st.pending.(s) <- st.pending.(s) - 1;
+    if st.pending.(s) = 0 then push st.ready s;
+    release st rest
+
+let rec push_all v = function
+  | [] -> ()
+  | x :: rest ->
+    push v x;
+    push_all v rest
+
+(* Execute every front gate that fits, in ascending order; the front
+   becomes the unexecuted rest merged with the successors this released.
+   Returns whether anything ran. *)
+let execute_ready st =
+  let front = st.front and rest = st.rest in
+  rest.len <- 0;
+  st.ready.len <- 0;
+  for k = 0 to front.len - 1 do
+    let i = front.data.(k) in
+    let g = Qc.Dag.gate st.dag i in
+    if fits st g then begin
+      if st.record then
+        st.out_rev <-
+          (Qc.Gate.remap (Arch.Layout.phys_of_log st.layout) g, false) :: st.out_rev;
+      release st (Qc.Dag.succs st.dag i)
+    end
+    else push rest i
+  done;
+  if rest.len = front.len then false
+  else begin
+    let ready = st.ready in
+    sort_prefix ready.data ready.len;
+    front.len <- 0;
+    let a = ref 0 and b = ref 0 in
+    while !a < rest.len || !b < ready.len do
+      if !b >= ready.len || (!a < rest.len && rest.data.(!a) < ready.data.(!b))
+      then begin
+        push front rest.data.(!a);
+        incr a
       end
+      else begin
+        push front ready.data.(!b);
+        incr b
+      end
+    done;
+    true
+  end
+
+let add_pair st q1 q2 =
+  let a = phys st q1 and b = phys st q2 in
+  push st.pa a;
+  push st.pb b;
+  push st.pd (dist st a b)
+
+(* Extended set: the nearest successors of the front gates, breadth-first,
+   capped at [extended_size] two-qubit gates. *)
+let extended_set st =
+  let q = st.queue in
+  q.len <- 0;
+  for k = 0 to st.front.len - 1 do
+    push_all q (Qc.Dag.succs st.dag st.front.data.(k))
+  done;
+  let head = ref 0 and count = ref 0 in
+  while !head < q.len && !count < st.config.extended_size do
+    let i = q.data.(!head) in
+    incr head;
+    if st.visited.(i) <> st.step then begin
+      st.visited.(i) <- st.step;
+      (match Qc.Dag.gate st.dag i with
+      | Qc.Gate.Two (_, q1, q2) ->
+        add_pair st q1 q2;
+        incr count
+      | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> ());
+      push_all q (Qc.Dag.succs st.dag i)
+    end
+  done
+
+(* SWAP candidates: every coupling edge at a front pair's qubit, as sorted
+   distinct keys — the lexicographic (lo, hi) order of the edges. *)
+let rec add_edges st p = function
+  | [] -> ()
+  | p' :: rest ->
+    push st.cands ((min p p' * st.n_phys) + max p p');
+    add_edges st p rest
+
+let candidates st n_front =
+  let c = st.cands in
+  c.len <- 0;
+  for k = 0 to n_front - 1 do
+    let a = st.pa.data.(k) and b = st.pb.data.(k) in
+    add_edges st a (Arch.Coupling.neighbors st.coupling a);
+    add_edges st b (Arch.Coupling.neighbors st.coupling b)
+  done;
+  sort_prefix c.data c.len;
+  let n = ref 0 in
+  for k = 0 to c.len - 1 do
+    if !n = 0 || c.data.(!n - 1) <> c.data.(k) then begin
+      c.data.(!n) <- c.data.(k);
+      incr n
     end
   done;
-  !acc
+  c.len <- !n
 
-let two_qubit_pairs st idxs =
-  List.filter_map
-    (fun i ->
-      match Qc.Dag.gate st.dag i with
-      | Qc.Gate.Two (_, q1, q2) -> Some (q1, q2)
-      | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> None)
-    idxs
+let attach st slot p =
+  push st.link (if st.head_at.(p) = st.step then st.head.(p) else -1);
+  st.head.(p) <- slot;
+  st.head_at.(p) <- st.step
 
-let dist_after st (p1, p2) (q1, q2) =
+let link_pairs st =
+  st.link.len <- 0;
+  for k = 0 to st.pa.len - 1 do
+    attach st (2 * k) st.pa.data.(k);
+    attach st ((2 * k) + 1) st.pb.data.(k)
+  done
+
+(* Add to [df]/[de] the distance change of the front/extended pairs with
+   an end on [p] when [p] moves to [to_] (and [to_] to [p]), skipping pairs
+   whose other end is [skip]. *)
+let walk st n_front p to_ skip =
+  let s = ref (if st.head_at.(p) = st.step then st.head.(p) else -1) in
+  while !s >= 0 do
+    let k = !s lsr 1 in
+    let o = if !s land 1 = 0 then st.pb.data.(k) else st.pa.data.(k) in
+    if o <> skip then begin
+      let o = if o = to_ then p else o in
+      let d = dist st to_ o - st.pd.data.(k) in
+      if k < n_front then st.df <- st.df + d else st.de <- st.de + d
+    end;
+    s := st.link.data.(!s)
+  done
+
+(* The change in ΣF and ΣE that swapping p1 and p2 causes. Only pairs with
+   an end on p1 or p2 move: walk p1's chain, then p2's minus the pairs
+   also ending on p1 (already counted, and unchanged). *)
+let delta st n_front p1 p2 =
+  st.df <- 0;
+  st.de <- 0;
+  walk st n_front p1 p2 (-1);
+  walk st n_front p2 p1 p1
+
+(* Disconnected devices only: a pair straddles two components, so every
+   candidate's H is undefined (SWAPs never leave a component). Evaluate
+   the first candidate's H term by term in the rescanning router's order
+   through the raising [Maqam.distance], so the exception — whose message
+   names the first unreachable pair met — is the one that router raised. *)
+let raise_unreachable st n_front (p1, p2) =
   let moved p = if p = p1 then p2 else if p = p2 then p1 else p in
-  let a = moved (Arch.Layout.phys_of_log st.layout q1) in
-  let b = moved (Arch.Layout.phys_of_log st.layout q2) in
-  Arch.Maqam.distance st.maqam a b
-
-let score st fpairs epairs swap =
-  let p1, p2 = swap in
+  let pair k = (st.pa.data.(k), st.pb.data.(k)) in
+  let fpairs = List.init n_front pair in
+  let epairs = List.rev (List.init (st.pa.len - n_front) (fun k -> pair (n_front + k))) in
   let sum pairs =
-    List.fold_left (fun acc pr -> acc +. float_of_int (dist_after st swap pr)) 0. pairs
+    List.fold_left
+      (fun acc (a, b) ->
+        let a = moved a in
+        let b = moved b in
+        acc +. float_of_int (Arch.Maqam.distance st.maqam a b))
+      0. pairs
   in
   let nf = float_of_int (max 1 (List.length fpairs)) in
   let ne = float_of_int (max 1 (List.length epairs)) in
   let base =
     (sum fpairs /. nf) +. (st.config.extended_weight *. sum epairs /. ne)
   in
-  Float.max st.decay.(p1) st.decay.(p2) *. base
+  invalid_arg (Fmt.str "Sabre.Router: unreachable pair scored %g" base)
 
-let candidates st fpairs =
-  let coupling = Arch.Maqam.coupling st.maqam in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (q1, q2) ->
-      List.iter
-        (fun q ->
-          let p = Arch.Layout.phys_of_log st.layout q in
-          List.iter
-            (fun p' ->
-              let e = (min p p', max p p') in
-              if not (Hashtbl.mem seen e) then Hashtbl.replace seen e ())
-            (Arch.Coupling.neighbors coupling p))
-        [ q1; q2 ])
-    fpairs;
-  Hashtbl.fold (fun e () acc -> e :: acc) seen [] |> List.sort Stdlib.compare
-
-let execute_gate st i =
-  let g = Qc.Dag.gate st.dag i in
-  st.out_rev <-
-    (Qc.Gate.remap (Arch.Layout.phys_of_log st.layout) g, false) :: st.out_rev;
-  st.done_.(i) <- true;
-  st.n_done <- st.n_done + 1
-
-let reset_decay st =
-  Array.fill st.decay 0 (Array.length st.decay) 1.;
-  st.swaps_since_reset <- 0
-
-let apply_swap st (p1, p2) =
+let apply_swap st p1 p2 =
   if st.swap_budget <= 0 then
     raise (Stuck "SABRE: swap budget exhausted — unroutable input?");
   st.swap_budget <- st.swap_budget - 1;
-  st.out_rev <- (Qc.Gate.swap p1 p2, true) :: st.out_rev;
-  st.layout <- Arch.Layout.swap_physical st.layout p1 p2;
-  st.decay.(p1) <- st.decay.(p1) +. st.config.decay_delta;
-  st.decay.(p2) <- st.decay.(p2) +. st.config.decay_delta;
+  if st.record then st.out_rev <- (Qc.Gate.swap p1 p2, true) :: st.out_rev;
+  Arch.Layout.swap_physical_inplace st.layout p1 p2;
+  bump_decay st p1;
+  bump_decay st p2;
   st.swaps_since_reset <- st.swaps_since_reset + 1;
   if st.swaps_since_reset >= st.config.decay_reset then reset_decay st
 
-let route_tagged ?(config = default_config) ~maqam ~initial circuit =
+(* One SWAP step: minimise H = decay · (ΣF/|F| + W·ΣE/|E|) over the
+   candidates. ΣF and ΣE are integer sums, taken once per step and then
+   corrected per candidate by [delta]; a float sum of integers is exact,
+   so H is bit-identical to summing every pair per candidate. The first
+   strict minimum in key order wins. *)
+let swap_step st =
+  st.step <- st.step + 1;
+  st.pa.len <- 0;
+  st.pb.len <- 0;
+  st.pd.len <- 0;
+  for k = 0 to st.front.len - 1 do
+    match Qc.Dag.gate st.dag st.front.data.(k) with
+    | Qc.Gate.Two (_, q1, q2) -> add_pair st q1 q2
+    | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> ()
+  done;
+  let n_front = st.pa.len in
+  extended_set st;
+  candidates st n_front;
+  let c = st.cands in
+  if c.len = 0 then raise (Stuck "SABRE: no SWAP candidate — disconnected device?");
+  let sf = ref 0 and se = ref 0 and unreachable = ref false in
+  for k = 0 to st.pd.len - 1 do
+    let d = st.pd.data.(k) in
+    if d < 0 then unreachable := true;
+    if k < n_front then sf := !sf + d else se := !se + d
+  done;
+  if !unreachable then
+    raise_unreachable st n_front (c.data.(0) / st.n_phys, c.data.(0) mod st.n_phys);
+  link_pairs st;
+  let nf = float_of_int (max 1 n_front) in
+  let ne = float_of_int (max 1 (st.pa.len - n_front)) in
+  let best = ref 0 and best_h = ref Float.infinity in
+  for j = 0 to c.len - 1 do
+    let p1 = c.data.(j) / st.n_phys and p2 = c.data.(j) mod st.n_phys in
+    delta st n_front p1 p2;
+    let base =
+      (float_of_int (!sf + st.df) /. nf)
+      +. (st.config.extended_weight *. float_of_int (!se + st.de) /. ne)
+    in
+    (* decay factors are finite and >= 1, where this is [Float.max] *)
+    let d1 = decay st p1 and d2 = decay st p2 in
+    let h = (if d1 >= d2 then d1 else d2) *. base in
+    if j = 0 || h < !best_h then begin
+      best := j;
+      best_h := h
+    end
+  done;
+  apply_swap st (c.data.(!best) / st.n_phys) (c.data.(!best) mod st.n_phys)
+
+let route ~record ~config ~maqam ~initial circuit =
   let n_physical = Arch.Maqam.n_qubits maqam in
   let n_logical = Qc.Circuit.n_qubits circuit in
   if n_logical > n_physical then
-    invalid_arg "Sabre.route_gates: circuit wider than device";
+    invalid_arg "Sabre.Router: circuit wider than device";
   if
     Arch.Layout.n_logical initial <> n_logical
     || Arch.Layout.n_physical initial <> n_physical
-  then invalid_arg "Sabre.route_gates: layout size mismatch";
+  then invalid_arg "Sabre.Router: layout size mismatch";
+  let coupling = Arch.Maqam.coupling maqam in
   let dag = Qc.Dag.of_circuit circuit in
   let n = Qc.Dag.n_nodes dag in
+  let pending = Array.init n (fun i -> List.length (Qc.Dag.preds dag i)) in
+  let front = vec (n_logical + 1) in
+  Array.iteri (fun i c -> if c = 0 then push front i) pending;
+  let pairs = (n_logical / 2) + config.extended_size + 1 in
   let st =
     {
       maqam;
+      coupling;
       config;
+      n_phys = n_physical;
+      table =
+        (match Arch.Coupling.backend coupling with
+        | Arch.Coupling.Dense -> Arch.Coupling.distance_table coupling
+        | Arch.Coupling.Sparse -> [||]);
       dag;
-      done_ = Array.make n false;
-      n_done = 0;
-      layout = initial;
+      layout = Arch.Layout.copy initial;
+      record;
       out_rev = [];
+      pending;
+      front;
+      rest = vec (n_logical + 1);
+      ready = vec (n_logical + 1);
       decay = Array.make n_physical 1.;
+      decay_at = Array.make n_physical 0;
+      decay_epoch = 0;
       swaps_since_reset = 0;
       swap_budget = 10 * (n + 1) * (n_physical + 1);
+      step = 0;
+      pa = vec pairs;
+      pb = vec pairs;
+      pd = vec pairs;
+      queue = vec 64;
+      visited = Array.make n 0;
+      head = Array.make n_physical 0;
+      head_at = Array.make n_physical 0;
+      link = vec (2 * pairs);
+      cands = vec (2 * List.length (Arch.Coupling.edges coupling));
+      df = 0;
+      de = 0;
     }
   in
-  while st.n_done < n do
-    let f = front st in
-    let executable =
-      List.filter (fun i -> Arch.Maqam.fits st.maqam st.layout (Qc.Dag.gate st.dag i)) f
-    in
-    if executable <> [] then begin
-      List.iter (execute_gate st) executable;
-      reset_decay st
-    end
-    else begin
-      let fpairs = two_qubit_pairs st f in
-      let epairs = extended_set st f in
-      let cands = candidates st fpairs in
-      match cands with
-      | [] -> raise (Stuck "SABRE: no SWAP candidate — disconnected device?")
-      | first :: rest ->
-        let best =
-          List.fold_left
-            (fun (bs, be) e ->
-              let s = score st fpairs epairs e in
-              if s < bs then (s, e) else (bs, be))
-            (score st fpairs epairs first, first)
-            rest
-        in
-        apply_swap st (snd best)
-    end
+  while st.front.len > 0 do
+    if execute_ready st then reset_decay st else swap_step st
   done;
-  (List.rev st.out_rev, st.layout)
+  st
 
-let route_gates ?(config = default_config) ~maqam ~initial circuit =
-  let tagged, final = route_tagged ~config ~maqam ~initial circuit in
-  (List.map fst tagged, final)
+let final_layout ?(config = default_config) ~maqam ~initial circuit =
+  (route ~record:false ~config ~maqam ~initial circuit).layout
 
 let run ?(config = default_config) ~maqam ~initial circuit =
-  let tagged, final = route_tagged ~config ~maqam ~initial circuit in
+  let st = route ~record:true ~config ~maqam ~initial circuit in
   let n_physical = Arch.Maqam.n_qubits maqam in
   let events, makespan =
     Schedule.Asap.schedule_tagged ~durations:(Arch.Maqam.durations maqam)
-      ~n_physical tagged
+      ~n_physical (List.rev st.out_rev)
   in
   {
     Schedule.Routed.events;
     initial;
-    final;
+    final = st.layout;
     makespan;
     n_logical = Qc.Circuit.n_qubits circuit;
   }

@@ -10,7 +10,16 @@
     minimised over the SWAPs incident to the front gates' physical qubits,
     with per-qubit decay factors discouraging consecutive SWAPs on the same
     qubit. The emitted order is duration-{e un}aware; the caller scores it
-    with {!Schedule.Asap} under the device's real durations. *)
+    with {!Schedule.Asap} under the device's real durations.
+
+    The loop is linear in the circuit: the front is kept by in-degree
+    rather than rescanned, each SWAP step reuses one set of scratch buffers
+    sized by the front, the look-ahead window and the device's edges, and
+    a candidate is scored from per-step integer sums plus the change on
+    the pairs touching its two qubits (docs/ALGORITHM.md). Raises
+    {!Stuck} when no SWAP can help (no candidate, or the swap budget of
+    [10·(gates+1)·(qubits+1)] is spent) and [Invalid_argument] when a
+    gate straddles disconnected components. *)
 
 type config = {
   extended_size : int;  (** look-ahead window |E| (default 20) *)
@@ -32,11 +41,13 @@ val run :
 (** Route and then ASAP-schedule with the machine's durations, so results
     are directly comparable with CODAR's. *)
 
-val route_gates :
+val final_layout :
   ?config:config ->
   maqam:Arch.Maqam.t ->
   initial:Arch.Layout.t ->
   Qc.Circuit.t ->
-  Qc.Gate.t list * Arch.Layout.t
-(** The raw physical gate sequence and final layout (used by the
-    reverse-traversal initial-mapping pass, which needs layouts only). *)
+  Arch.Layout.t
+(** The layout {!run} would end in, without building the gate list or
+    schedule — all the reverse-traversal initial-mapping pass needs. Same
+    SWAP choices and the same exceptions as {!run}; [initial] is not
+    mutated. *)

@@ -76,23 +76,25 @@ let check_timing ~maqam (r : Routed.t) =
     (Ok ()) r.events
 
 let replay_logical (r : Routed.t) =
-  let layout = ref r.initial in
+  (* one private copy, swapped in place: the pure [swap_physical] copied
+     the whole layout per inserted SWAP *)
+  let layout = Arch.Layout.copy r.initial in
+  let back p =
+    match Arch.Layout.log_of_phys layout p with
+    | Some l -> l
+    | None -> -1
+  in
   let out = ref [] in
   List.iter
     (fun e ->
       match e.Routed.gate with
       | Qc.Gate.Two (Qc.Gate.Swap, p1, p2) when e.Routed.inserted ->
-        layout := Arch.Layout.swap_physical !layout p1 p2
+        Arch.Layout.swap_physical_inplace layout p1 p2
       | Qc.Gate.One _ | Qc.Gate.Two _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _
         ->
-        let back p =
-          match Arch.Layout.log_of_phys !layout p with
-          | Some l -> l
-          | None -> -1
-        in
         out := Qc.Gate.remap back e.Routed.gate :: !out)
     r.events;
-  if Arch.Layout.equal !layout r.final then Ok (List.rev !out)
+  if Arch.Layout.equal layout r.final then Ok (List.rev !out)
   else Error Bad_final_layout
 
 let check_equivalence ~original (r : Routed.t) =

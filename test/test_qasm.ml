@@ -238,6 +238,23 @@ let test_round_trip_fuzz_gen () =
       Alcotest.failf "seed %d: second print not byte-identical" seed
   done
 
+(* Every benchmark, paper suite and large tier alike, must have finite
+   angles and print as QASM that parses back to the same circuit. QFT's
+   π/2^k once came from [1 lsl k], which overflows at k = 62: qft_64
+   printed u1(inf) and a wrong-sign angle. *)
+let test_suite_round_trips () =
+  List.iter
+    (fun (e : Workloads.Suite.entry) ->
+      let c = Lazy.force e.circuit in
+      List.iter
+        (fun g ->
+          if not (List.for_all Float.is_finite (Qc.Gate.params g)) then
+            Alcotest.failf "%s: non-finite angle in %a" e.name Qc.Gate.pp g)
+        (Qc.Circuit.gates c);
+      if not (Qc.Circuit.equal c (Qasm.Parser.parse (Qasm.Printer.to_string c)))
+      then Alcotest.failf "%s: print |> parse changed the circuit" e.name)
+    (Workloads.Suite.all @ Workloads.Suite.large)
+
 let test_round_trip_edge_cases () =
   let rt c = Qasm.Parser.parse (Qasm.Printer.to_string c) in
   (* empty circuit: header only *)
@@ -333,6 +350,7 @@ let () =
           Alcotest.test_case "forms" `Quick test_printer_forms;
           Alcotest.test_case "creg" `Quick test_printer_creg';
           QCheck_alcotest.to_alcotest prop_round_trip;
+          Alcotest.test_case "suite round-trips" `Quick test_suite_round_trips;
           Alcotest.test_case "round-trip over fuzz generator" `Quick
             test_round_trip_fuzz_gen;
           Alcotest.test_case "round-trip edge cases" `Quick

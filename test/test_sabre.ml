@@ -385,6 +385,53 @@ let test_no_candidate_stuck () =
        (fun () -> Sabre.Router.run ~maqam ~initial:(identity 2 3) circuit)
        routed_digest)
 
+(* Sycamore-54 again, on the sparse distance backend (per-pair BFS rather
+   than the flat table) — its routes must not differ. *)
+let sycamore_sparse =
+  let c = Arch.Devices.sycamore_54 in
+  Arch.Coupling.make ?coords:(Arch.Coupling.coords c) ~backend:Arch.Coupling.Sparse
+    ~name:"sycamore-sparse" ~n:(Arch.Coupling.n_qubits c) (Arch.Coupling.edges c)
+
+let prop_final_layout =
+  let devices =
+    [|
+      (Arch.Devices.ibm_q20_tokyo, 12);
+      (Arch.Devices.sycamore_54, 16);
+      (Arch.Devices.ring 7, 7);
+      (two_rings, 8);
+    |]
+  in
+  QCheck.Test.make ~count:200 ~name:"final_layout agrees with run"
+    QCheck.(pair (int_bound (Array.length devices - 1)) (int_bound 1_000_000))
+    (fun (d, seed) ->
+      let coupling, max_qubits = devices.(d) in
+      let maqam = Arch.Maqam.make ~coupling ~durations:sc in
+      let circuit = fuzz_case ~seed ~max_qubits in
+      let n_physical = Arch.Coupling.n_qubits coupling in
+      let initial =
+        Arch.Layout.random (Random.State.make [| seed; 1 |])
+          ~n_logical:(Qc.Circuit.n_qubits circuit) ~n_physical
+      in
+      let before = Arch.Layout.to_array initial in
+      let r =
+        outcome (fun () -> Sabre.Router.run ~maqam ~initial circuit) (fun r ->
+            layout_digest r.Schedule.Routed.final)
+      in
+      let l =
+        outcome
+          (fun () -> Sabre.Router.final_layout ~maqam ~initial circuit)
+          layout_digest
+      in
+      if r <> l then QCheck.Test.fail_reportf "run: %s, final_layout: %s" r l;
+      if Arch.Layout.to_array initial <> before then
+        QCheck.Test.fail_report "initial layout mutated";
+      (if d = 1 then
+         let sparse = Arch.Maqam.make ~coupling:sycamore_sparse ~durations:sc in
+         let digest c = routed_digest (Sabre.Router.run ~maqam:c ~initial circuit) in
+         if digest maqam <> digest sparse then
+           QCheck.Test.fail_report "sparse backend routes differently");
+      true)
+
 let () =
   Alcotest.run "sabre"
     [
@@ -409,6 +456,7 @@ let () =
           Alcotest.test_case "disconnected device" `Quick
             test_disconnected_golden;
           Alcotest.test_case "no candidate" `Quick test_no_candidate_stuck;
+          QCheck_alcotest.to_alcotest prop_final_layout;
         ] );
       ( "initial mapping",
         [ Alcotest.test_case "reverse traversal" `Quick test_reverse_traversal ]
