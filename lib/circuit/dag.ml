@@ -4,26 +4,51 @@ type t = {
   succs : int list array;
 }
 
+(* The distinct last gates on [g]'s qubits, ascending. One- and two-qubit
+   gates (nearly every node) take an allocation-free path; SABRE builds
+   this DAG twice per placement, so its per-gate garbage used to be most
+   of what placement allocated. *)
+let preds_of last g =
+  match g with
+  | Gate.Two (_, a, b) ->
+    let pa = last.(a) and pb = last.(b) in
+    if pa < 0 then if pb < 0 then [] else [ pb ]
+    else if pb < 0 || pa = pb then [ pa ]
+    else if pa < pb then [ pa; pb ]
+    else [ pb; pa ]
+  | Gate.One (_, q) | Gate.Measure (q, _) ->
+    let p = last.(q) in
+    if p < 0 then [] else [ p ]
+  | Gate.Barrier qs ->
+    List.filter_map (fun q -> if last.(q) >= 0 then Some last.(q) else None) qs
+    |> List.sort_uniq Stdlib.compare
+
 let of_circuit c =
   let gates = Circuit.gate_array c in
   let n = Array.length gates in
   let preds = Array.make n [] in
-  let succs = Array.make n [] in
   let last_on_qubit = Array.make (Circuit.n_qubits c) (-1) in
   for i = 0 to n - 1 do
-    let ps =
-      List.filter_map
-        (fun q ->
-          let p = last_on_qubit.(q) in
-          if p >= 0 then Some p else None)
-        (Gate.qubits gates.(i))
-      |> List.sort_uniq Stdlib.compare
-    in
-    preds.(i) <- ps;
-    List.iter (fun p -> succs.(p) <- i :: succs.(p)) ps;
-    List.iter (fun q -> last_on_qubit.(q) <- i) (Gate.qubits gates.(i))
+    preds.(i) <- preds_of last_on_qubit gates.(i);
+    match gates.(i) with
+    | Gate.Two (_, a, b) ->
+      last_on_qubit.(a) <- i;
+      last_on_qubit.(b) <- i
+    | Gate.One (_, q) | Gate.Measure (q, _) -> last_on_qubit.(q) <- i
+    | Gate.Barrier qs -> List.iter (fun q -> last_on_qubit.(q) <- i) qs
   done;
-  Array.iteri (fun i l -> succs.(i) <- List.sort_uniq Stdlib.compare l) succs;
+  (* consing from the last node down leaves every successor list
+     ascending, and [preds] lists are duplicate-free *)
+  let succs = Array.make n [] in
+  let rec link i = function
+    | [] -> ()
+    | p :: rest ->
+      succs.(p) <- i :: succs.(p);
+      link i rest
+  in
+  for i = n - 1 downto 0 do
+    link i preds.(i)
+  done;
   { gates; preds; succs }
 
 let n_nodes d = Array.length d.gates

@@ -97,13 +97,13 @@ type state = {
   mutable de : int;
 }
 
-let dist st a b =
+let[@inline] dist st a b =
   if Array.length st.table > 0 then st.table.((a * st.n_phys) + b)
   else Arch.Coupling.distance_raw st.coupling a b
 
-let phys st q = Arch.Layout.phys_of_log st.layout q
+let[@inline] phys st q = Arch.Layout.phys_of_log st.layout q
 
-let decay st p = if st.decay_at.(p) = st.decay_epoch then st.decay.(p) else 1.
+let[@inline] decay st p = if st.decay_at.(p) = st.decay_epoch then st.decay.(p) else 1.
 
 let reset_decay st =
   st.decay_epoch <- st.decay_epoch + 1;
@@ -198,8 +198,10 @@ let extended_set st =
     end
   done
 
-(* SWAP candidates: every coupling edge at a front pair's qubit, as sorted
-   distinct keys — the lexicographic (lo, hi) order of the edges. *)
+(* SWAP candidates: every coupling edge at a front pair's qubit, as keys
+   [lo * n_phys + hi], so key order is the lexicographic (lo, hi) edge
+   order. An edge between two front qubits is listed twice; scoring both
+   copies is harmless and cheaper than sorting the list out. *)
 let rec add_edges st p = function
   | [] -> ()
   | p' :: rest ->
@@ -213,16 +215,7 @@ let candidates st n_front =
     let a = st.pa.data.(k) and b = st.pb.data.(k) in
     add_edges st a (Arch.Coupling.neighbors st.coupling a);
     add_edges st b (Arch.Coupling.neighbors st.coupling b)
-  done;
-  sort_prefix c.data c.len;
-  let n = ref 0 in
-  for k = 0 to c.len - 1 do
-    if !n = 0 || c.data.(!n - 1) <> c.data.(k) then begin
-      c.data.(!n) <- c.data.(k);
-      incr n
-    end
-  done;
-  c.len <- !n
+  done
 
 let attach st slot p =
   push st.link (if st.head_at.(p) = st.step then st.head.(p) else -1);
@@ -300,8 +293,8 @@ let apply_swap st p1 p2 =
 (* One SWAP step: minimise H = decay · (ΣF/|F| + W·ΣE/|E|) over the
    candidates. ΣF and ΣE are integer sums, taken once per step and then
    corrected per candidate by [delta]; a float sum of integers is exact,
-   so H is bit-identical to summing every pair per candidate. The first
-   strict minimum in key order wins. *)
+   so H is bit-identical to summing every pair per candidate. Ties go to
+   the smallest key: the first strict minimum in edge order. *)
 let swap_step st =
   st.step <- st.step + 1;
   st.pa.len <- 0;
@@ -323,14 +316,20 @@ let swap_step st =
     if d < 0 then unreachable := true;
     if k < n_front then sf := !sf + d else se := !se + d
   done;
-  if !unreachable then
-    raise_unreachable st n_front (c.data.(0) / st.n_phys, c.data.(0) mod st.n_phys);
+  if !unreachable then begin
+    let first = ref c.data.(0) in
+    for j = 1 to c.len - 1 do
+      if c.data.(j) < !first then first := c.data.(j)
+    done;
+    raise_unreachable st n_front (!first / st.n_phys, !first mod st.n_phys)
+  end;
   link_pairs st;
   let nf = float_of_int (max 1 n_front) in
   let ne = float_of_int (max 1 (st.pa.len - n_front)) in
-  let best = ref 0 and best_h = ref Float.infinity in
+  let best = ref (-1) and best_h = ref Float.infinity in
   for j = 0 to c.len - 1 do
-    let p1 = c.data.(j) / st.n_phys and p2 = c.data.(j) mod st.n_phys in
+    let key = c.data.(j) in
+    let p1 = key / st.n_phys and p2 = key mod st.n_phys in
     delta st n_front p1 p2;
     let base =
       (float_of_int (!sf + st.df) /. nf)
@@ -339,12 +338,12 @@ let swap_step st =
     (* decay factors are finite and >= 1, where this is [Float.max] *)
     let d1 = decay st p1 and d2 = decay st p2 in
     let h = (if d1 >= d2 then d1 else d2) *. base in
-    if j = 0 || h < !best_h then begin
-      best := j;
+    if !best < 0 || h < !best_h || (h = !best_h && key < !best) then begin
+      best := key;
       best_h := h
     end
   done;
-  apply_swap st (c.data.(!best) / st.n_phys) (c.data.(!best) mod st.n_phys)
+  apply_swap st (!best / st.n_phys) (!best mod st.n_phys)
 
 let route ~record ~config ~maqam ~initial circuit =
   let n_physical = Arch.Maqam.n_qubits maqam in
