@@ -15,10 +15,6 @@ val gate : t -> int -> Gate.t
 val preds : t -> int -> int list
 val succs : t -> int -> int list
 
-val front_layer : t -> done_:bool array -> int list
-(** Indices of gates whose predecessors are all marked done and which are not
-    themselves done, in circuit order. *)
-
 val topological_order : t -> int list
 (** A topological order (circuit order is always one). *)
 

@@ -31,30 +31,6 @@ let push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
-(* In-place heapsort of [a.(0 .. len-1)]. *)
-let rec sift a root last =
-  let c = (2 * root) + 1 in
-  if c <= last then begin
-    let c = if c < last && a.(c) < a.(c + 1) then c + 1 else c in
-    if a.(root) < a.(c) then begin
-      let t = a.(root) in
-      a.(root) <- a.(c);
-      a.(c) <- t;
-      sift a c last
-    end
-  end
-
-let sort_prefix a len =
-  for i = (len / 2) - 1 downto 0 do
-    sift a i (len - 1)
-  done;
-  for last = len - 1 downto 1 do
-    let t = a.(0) in
-    a.(0) <- a.(last);
-    a.(last) <- t;
-    sift a 0 (last - 1)
-  done
-
 type state = {
   maqam : Arch.Maqam.t;
   coupling : Arch.Coupling.t;
@@ -118,6 +94,19 @@ let fits st g =
   | Qc.Gate.Two (_, q1, q2) -> Arch.Coupling.adjacent st.coupling (phys st q1) (phys st q2)
   | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> true
 
+(* Insertion sort, in place: the nodes one batch releases are few and
+   arrive nearly ascending (successors of an ascending front). *)
+let sort v =
+  for i = 1 to v.len - 1 do
+    let x = v.data.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && v.data.(!j) > x do
+      v.data.(!j + 1) <- v.data.(!j);
+      decr j
+    done;
+    v.data.(!j + 1) <- x
+  done
+
 let rec release st = function
   | [] -> ()
   | s :: rest ->
@@ -152,7 +141,7 @@ let execute_ready st =
   if rest.len = front.len then false
   else begin
     let ready = st.ready in
-    sort_prefix ready.data ready.len;
+    sort ready;
     front.len <- 0;
     let a = ref 0 and b = ref 0 in
     while !a < rest.len || !b < ready.len do

@@ -389,12 +389,6 @@ let test_dag () =
   Alcotest.(check (list int)) "preds of cx01" [ 0 ] (Qc.Dag.preds d 1);
   Alcotest.(check (list int)) "preds of cx12" [ 1; 2 ] (Qc.Dag.preds d 3);
   Alcotest.(check (list int)) "succs of h" [ 1 ] (Qc.Dag.succs d 0);
-  let done_ = Array.make 4 false in
-  Alcotest.(check (list int)) "initial front" [ 0; 2 ]
-    (Qc.Dag.front_layer d ~done_);
-  done_.(0) <- true;
-  Alcotest.(check (list int)) "front after h" [ 1; 2 ]
-    (Qc.Dag.front_layer d ~done_);
   Alcotest.(check int) "critical path (unit)" 3
     (Qc.Dag.critical_path_length d ~weight:(fun _ -> 1));
   Alcotest.(check int) "critical path (weighted)" 5
