@@ -45,13 +45,8 @@ type state = {
      unfinished predecessor left in [pending] *)
   pending : int array;
   front : vec;
-  rest : vec;
   ready : vec;
-  (* decay factors: [decay.(p)] is live only while [decay_at.(p)] equals
-     [decay_epoch]; otherwise p's factor is 1, so a reset is O(1) *)
   decay : float array;
-  decay_at : int array;
-  mutable decay_epoch : int;
   mutable swaps_since_reset : int;
   mutable swap_budget : int;
   (* per-SWAP-step scratch, epoch-stamped by [step]: pairs [0, n_front) are
@@ -79,33 +74,14 @@ let[@inline] dist st a b =
 
 let[@inline] phys st q = Arch.Layout.phys_of_log st.layout q
 
-let[@inline] decay st p = if st.decay_at.(p) = st.decay_epoch then st.decay.(p) else 1.
-
 let reset_decay st =
-  st.decay_epoch <- st.decay_epoch + 1;
+  Array.fill st.decay 0 st.n_phys 1.;
   st.swaps_since_reset <- 0
-
-let bump_decay st p =
-  st.decay.(p) <- decay st p +. st.config.decay_delta;
-  st.decay_at.(p) <- st.decay_epoch
 
 let fits st g =
   match g with
   | Qc.Gate.Two (_, q1, q2) -> Arch.Coupling.adjacent st.coupling (phys st q1) (phys st q2)
   | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> true
-
-(* Insertion sort, in place: the nodes one batch releases are few and
-   arrive nearly ascending (successors of an ascending front). *)
-let sort v =
-  for i = 1 to v.len - 1 do
-    let x = v.data.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && v.data.(!j) > x do
-      v.data.(!j + 1) <- v.data.(!j);
-      decr j
-    done;
-    v.data.(!j + 1) <- x
-  done
 
 let rec release st = function
   | [] -> ()
@@ -120,13 +96,26 @@ let rec push_all v = function
     push v x;
     push_all v rest
 
+(* Insertion sort, in place: cheap here, since [execute_ready] appends the
+   few nodes a batch releases to an already ascending front. *)
+let sort v =
+  for i = 1 to v.len - 1 do
+    let x = v.data.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && v.data.(!j) > x do
+      v.data.(!j + 1) <- v.data.(!j);
+      decr j
+    done;
+    v.data.(!j + 1) <- x
+  done
+
 (* Execute every front gate that fits, in ascending order; the front
-   becomes the unexecuted rest merged with the successors this released.
-   Returns whether anything ran. *)
+   becomes the unexecuted rest plus the successors this released, kept
+   ascending. Returns whether anything ran. *)
 let execute_ready st =
-  let front = st.front and rest = st.rest in
-  rest.len <- 0;
+  let front = st.front in
   st.ready.len <- 0;
+  let kept = ref 0 in
   for k = 0 to front.len - 1 do
     let i = front.data.(k) in
     let g = Qc.Dag.gate st.dag i in
@@ -136,27 +125,18 @@ let execute_ready st =
           (Qc.Gate.remap (Arch.Layout.phys_of_log st.layout) g, false) :: st.out_rev;
       release st (Qc.Dag.succs st.dag i)
     end
-    else push rest i
+    else begin
+      front.data.(!kept) <- i;
+      incr kept
+    end
   done;
-  if rest.len = front.len then false
-  else begin
-    let ready = st.ready in
-    sort ready;
-    front.len <- 0;
-    let a = ref 0 and b = ref 0 in
-    while !a < rest.len || !b < ready.len do
-      if !b >= ready.len || (!a < rest.len && rest.data.(!a) < ready.data.(!b))
-      then begin
-        push front rest.data.(!a);
-        incr a
-      end
-      else begin
-        push front ready.data.(!b);
-        incr b
-      end
-    done;
-    true
-  end
+  let ran = !kept < front.len in
+  front.len <- !kept;
+  for k = 0 to st.ready.len - 1 do
+    push front st.ready.data.(k)
+  done;
+  sort front;
+  ran
 
 let add_pair st q1 q2 =
   let a = phys st q1 and b = phys st q2 in
@@ -274,8 +254,8 @@ let apply_swap st p1 p2 =
   st.swap_budget <- st.swap_budget - 1;
   if st.record then st.out_rev <- (Qc.Gate.swap p1 p2, true) :: st.out_rev;
   Arch.Layout.swap_physical_inplace st.layout p1 p2;
-  bump_decay st p1;
-  bump_decay st p2;
+  st.decay.(p1) <- st.decay.(p1) +. st.config.decay_delta;
+  st.decay.(p2) <- st.decay.(p2) +. st.config.decay_delta;
   st.swaps_since_reset <- st.swaps_since_reset + 1;
   if st.swaps_since_reset >= st.config.decay_reset then reset_decay st
 
@@ -325,7 +305,7 @@ let swap_step st =
       +. (st.config.extended_weight *. float_of_int (!se + st.de) /. ne)
     in
     (* decay factors are finite and >= 1, where this is [Float.max] *)
-    let d1 = decay st p1 and d2 = decay st p2 in
+    let d1 = st.decay.(p1) and d2 = st.decay.(p2) in
     let h = (if d1 >= d2 then d1 else d2) *. base in
     if !best < 0 || h < !best_h || (h = !best_h && key < !best) then begin
       best := key;
@@ -366,11 +346,8 @@ let route ~record ~config ~maqam ~initial circuit =
       out_rev = [];
       pending;
       front;
-      rest = vec (n_logical + 1);
       ready = vec (n_logical + 1);
       decay = Array.make n_physical 1.;
-      decay_at = Array.make n_physical 0;
-      decay_epoch = 0;
       swaps_since_reset = 0;
       swap_budget = 10 * (n + 1) * (n_physical + 1);
       step = 0;
