@@ -773,7 +773,7 @@ let smoke () =
           "smoke: reverse_traversal on %s/%s allocated %.1f words per gate \
            (bound %.0f) — per-step allocation in the SABRE loop?"
           name (Arch.Coupling.name coupling) per_gate bound)
-    (* measured 31.7 and 32.0 words/gate, most of it the two DAGs; the
+    (* measured 31.5 and 31.9 words/gate, most of it the two DAGs; the
        rescanning loop allocated 5170 and 37245 *)
     [ ("qft_16", Arch.Devices.ibm_q20_tokyo, 64.);
       ("rand_36", Arch.Devices.sycamore_54, 64.) ];

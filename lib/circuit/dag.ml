@@ -5,9 +5,9 @@ type t = {
 }
 
 (* The distinct last gates on [g]'s qubits, ascending. One- and two-qubit
-   gates (nearly every node) take an allocation-free path; SABRE builds
-   this DAG twice per placement, so its per-gate garbage used to be most
-   of what placement allocated. *)
+   gates (nearly every node) take an allocation-free path: SABRE builds
+   this DAG twice per placement, and per-gate garbage here would dominate
+   what placement allocates. *)
 let preds_of last g =
   match g with
   | Gate.Two (_, a, b) ->

@@ -63,7 +63,7 @@ type state = {
   head : int array;
   head_at : int array;
   link : vec;
-  cands : vec;  (** SWAP edges as sorted keys [lo * n_phys + hi] *)
+  cands : vec;  (** SWAP edges as keys [lo * n_phys + hi] *)
   mutable df : int;  (** [delta]'s result *)
   mutable de : int;
 }

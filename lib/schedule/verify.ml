@@ -76,8 +76,8 @@ let check_timing ~maqam (r : Routed.t) =
     (Ok ()) r.events
 
 let replay_logical (r : Routed.t) =
-  (* one private copy, swapped in place: the pure [swap_physical] copied
-     the whole layout per inserted SWAP *)
+  (* one private copy, swapped in place: verification runs on every
+     compile, and the pure [swap_physical] copies the layout per SWAP *)
   let layout = Arch.Layout.copy r.initial in
   let back p =
     match Arch.Layout.log_of_phys layout p with

@@ -118,7 +118,6 @@ let test_extended_window_config () =
           Schedule.Verify.pp_error e)
     [ 0; 5; 50 ]
 
-
 (* ---------------------------------------------------------------- goldens *)
 
 (* Digests of SABRE's observable output — the [reverse_traversal] layout
