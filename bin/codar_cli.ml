@@ -1009,14 +1009,11 @@ let devices_cmd =
   let run () =
     List.iter
       (fun c ->
-        Fmt.pr "%-22s %3d qubits  %4d edges  coords:%b  %s@."
+        Fmt.pr "%-22s %3d qubits  %4d edges  coords:%b@."
           (Arch.Coupling.name c)
           (Arch.Coupling.n_qubits c)
           (List.length (Arch.Coupling.edges c))
-          (Arch.Coupling.coords c <> None)
-          (match Arch.Coupling.backend c with
-          | Arch.Coupling.Dense -> "dense"
-          | Arch.Coupling.Sparse -> "sparse"))
+          (Arch.Coupling.coords c <> None))
       (Arch.Devices.evaluation_devices
       @ [
           Arch.Devices.ibm_q5;

@@ -40,8 +40,8 @@ val heavy_hex : distance:int -> Coupling.t
     [n = (5d² - 2d - 1)/2] qubits (d² data + d(d-1) flags + (d²-1)/2
     syndromes), [3d² - 2d - 1] couplers, maximum degree 3, connected,
     with planar coordinates. [d = 7, 9, 11, 13] give the 115-, 193-,
-    291- and 409-qubit devices of the large-scale tier (all on the
-    sparse distance backend). Raises [Invalid_argument] on an even or
+    291- and 409-qubit devices of the large-scale tier, all under
+    {!Coupling.max_qubits}. Raises [Invalid_argument] on an even or
     too-small distance. *)
 
 val evaluation_devices : Coupling.t list

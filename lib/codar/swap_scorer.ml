@@ -41,32 +41,14 @@
    set already covers; an objective whose bonus reads wider state sets
    [full_rescore] and every live candidate is repriced after each commit. *)
 
-(* PR 10: distances and edge ids are provider-shaped. On dense couplings
-   the scorer keeps the PR 6 layout byte-for-byte — flat distance table,
-   edge id [u*n + v], n² per-edge slots. On sparse couplings it reads the
-   memoised per-source rows and numbers edges by their rank in the sorted
-   edge list (CSR), so per-edge state is O(E), not O(V²). Both numberings
-   are lexicographic in [(u, v)], so "smallest edge id" tie-breaks select
-   the same physical edge and routed output is identical across
-   backends. *)
-
-type dsource =
-  | Flat of int array  (* Coupling.distance_table: flat row-major, live *)
-  | Rows of Arch.Coupling.t  (* read through Coupling.distance_row *)
-
-type eindex =
-  | Square of int  (* edge id = u*n + v, u < v: dense, O(1) both ways *)
-  | Csr of {
-      eoff : int array;  (* eoff.(u) .. eoff.(u+1)-1: edges with lo = u *)
-      eu : int array;  (* edge id -> lower endpoint *)
-      ev : int array;  (* edge id -> higher endpoint (sorted within u) *)
-    }
+(* Distances are read from the coupling's flat row-major table and an
+   edge (u, v), u < v, has id [u*n + v]: n² per-edge slots, and the
+   "smallest edge id" tie-break is the lexicographically smallest edge. *)
 
 type t = {
   maqam : Arch.Maqam.t;
   n : int;
-  dsrc : dsource;
-  eidx : eindex;
+  dist : int array;  (* Coupling.distance_table: flat row-major, live *)
   neighbors : int array array;
   use_fine : bool;
   stats : Stats.t;
@@ -109,7 +91,7 @@ type t = {
 let dummy_ctx =
   {
     Objective.n = 0;
-    dist_row = (fun _ -> [||]);
+    dist = [||];
     incident = (fun _ -> []);
     pair_fst = (fun _ -> 0);
     pair_snd = (fun _ -> 0);
@@ -125,30 +107,7 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
                 < scale" O.name);
   let coupling = Arch.Maqam.coupling maqam in
   let n = Arch.Coupling.n_qubits coupling in
-  let dsrc, eidx =
-    match Arch.Coupling.backend coupling with
-    | Arch.Coupling.Dense ->
-      (Flat (Arch.Coupling.distance_table coupling), Square n)
-    | Arch.Coupling.Sparse ->
-      (* edges are normalised (lo, hi) and lex-sorted, so their list rank
-         is a lexicographic edge numbering: eoff groups by the lower
-         endpoint, ev ascends inside each group *)
-      let edges = Array.of_list (Arch.Coupling.edges coupling) in
-      let m = Array.length edges in
-      let eu = Array.make m 0 and ev = Array.make m 0 in
-      let eoff = Array.make (n + 1) 0 in
-      Array.iteri
-        (fun i (u, v) ->
-          eu.(i) <- u;
-          ev.(i) <- v;
-          eoff.(u + 1) <- eoff.(u + 1) + 1)
-        edges;
-      for q = 0 to n - 1 do
-        eoff.(q + 1) <- eoff.(q) + eoff.(q + 1)
-      done;
-      (Rows coupling, Csr { eoff; eu; ev })
-  in
-  let edge_slots = match eidx with Square n -> n * n | Csr c -> Array.length c.eu in
+  let edge_slots = n * n in
   (* [visit] doubles as a per-qubit marker in [commit], so it must cover
      qubit ids even when the edge count is below n (trees) *)
   let visit_slots = max edge_slots n in
@@ -156,8 +115,7 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
     {
       maqam;
       n;
-      dsrc;
-      eidx;
+      dist = Arch.Coupling.distance_table coupling;
       neighbors =
         Array.init n (fun p ->
             Array.of_list (Arch.Coupling.neighbors coupling p));
@@ -198,7 +156,7 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
   t.octx <-
     {
       Objective.n;
-      dist_row = Arch.Coupling.distance_row coupling;
+      dist = t.dist;
       incident = (fun p -> if t.inc_stamp.(p) = t.epoch then t.inc.(p) else []);
       pair_fst = (fun k -> t.pa.(k));
       pair_snd = (fun k -> t.pb.(k));
@@ -210,25 +168,9 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
 
 let issue_min t = t.issue_min
 
-(* Only ever called on coupling edges (u, v adjacent). Csr: a
-   degree-bounded scan of u's higher-neighbour slice. *)
-let eid t u v =
-  let u, v = if u < v then (u, v) else (v, u) in
-  match t.eidx with
-  | Square n -> (u * n) + v
-  | Csr c ->
-    let rec scan i hi =
-      if i >= hi then
-        invalid_arg (Fmt.str "Swap_scorer.eid: (%d,%d) is not an edge" u v)
-      else if c.ev.(i) = v then i
-      else scan (i + 1) hi
-    in
-    scan c.eoff.(u) c.eoff.(u + 1)
-
-let edge_of t e =
-  match t.eidx with
-  | Square n -> (e / n, e mod n)
-  | Csr c -> (c.eu.(e), c.ev.(e))
+(* Only ever called on coupling edges (u, v adjacent). *)
+let eid t u v = if u < v then (u * t.n) + v else (v * t.n) + u
+let edge_of t e = (e / t.n, e mod t.n)
 let alive t e = t.edge_stamp.(e) = t.epoch && t.in_set.(e)
 let lock_free t p = t.locks.(p) <= t.time
 
@@ -252,44 +194,17 @@ let adjacent t a b = Arch.Maqam.adjacent t.maqam a b
 let compute_basic t u v =
   t.stats.Stats.swap_rescores <- t.stats.Stats.swap_rescores + 1;
   let basic = ref 0 in
-  (match t.dsrc with
-  | Flat dist ->
-    let n = t.n in
-    List.iter
-      (fun k ->
-        let o = if t.pa.(k) = u then t.pb.(k) else t.pa.(k) in
-        if o <> v then
-          basic := !basic + dist.((u * n) + o) - dist.((v * n) + o))
-      (inc_get t u);
-    List.iter
-      (fun k ->
-        let o = if t.pa.(k) = v then t.pb.(k) else t.pa.(k) in
-        if o <> u then
-          basic := !basic + dist.((v * n) + o) - dist.((u * n) + o))
-      (inc_get t v)
-  | Rows c ->
-    (* point queries, not row fetches: a big device's routing working
-       set exceeds the bounded row cache, so materialising whole rows
-       here would recompute O(V)-sized BFS per score — the early-exit
-       point query costs only the ball around the pair *)
-    List.iter
-      (fun k ->
-        let o = if t.pa.(k) = u then t.pb.(k) else t.pa.(k) in
-        if o <> v then
-          basic :=
-            !basic
-            + Arch.Coupling.distance_raw c u o
-            - Arch.Coupling.distance_raw c v o)
-      (inc_get t u);
-    List.iter
-      (fun k ->
-        let o = if t.pa.(k) = v then t.pb.(k) else t.pa.(k) in
-        if o <> u then
-          basic :=
-            !basic
-            + Arch.Coupling.distance_raw c v o
-            - Arch.Coupling.distance_raw c u o)
-      (inc_get t v));
+  let dist = t.dist and n = t.n in
+  List.iter
+    (fun k ->
+      let o = if t.pa.(k) = u then t.pb.(k) else t.pa.(k) in
+      if o <> v then basic := !basic + dist.((u * n) + o) - dist.((v * n) + o))
+    (inc_get t u);
+  List.iter
+    (fun k ->
+      let o = if t.pa.(k) = v then t.pb.(k) else t.pa.(k) in
+      if o <> u then basic := !basic + dist.((v * n) + o) - dist.((u * n) + o))
+    (inc_get t v);
   !basic
 
 (* Objective score of (u,v) given its Hbasic. Bonus-free objectives
@@ -587,25 +502,11 @@ let force_best t =
     if t.m = 0 then fun _ -> 0
     else begin
       let a = t.pa.(0) and b = t.pb.(0) in
-      match t.dsrc with
-      | Flat dist ->
-        let n = t.n in
-        fun e ->
-          let u, v = edge_of t e in
-          let mv p = if p = u then v else if p = v then u else p in
-          dist.((a * n) + b) - dist.((mv a * n) + mv b)
-      | Rows c ->
-        (* [a]/[b] are fixed across the scan: hoist their distance, and
-           skip the lookup entirely for edges touching neither endpoint —
-           those cannot move the pair, so their gain is 0 by definition
-           (at most degree(a)+degree(b) point queries per call). *)
-        let d0 = Arch.Coupling.distance_raw c a b in
-        fun e ->
-          let u, v = edge_of t e in
-          if a <> u && a <> v && b <> u && b <> v then 0
-          else
-            let mv p = if p = u then v else if p = v then u else p in
-            d0 - Arch.Coupling.distance_raw c (mv a) (mv b)
+      let dist = t.dist and n = t.n in
+      fun e ->
+        let u, v = edge_of t e in
+        let mv p = if p = u then v else if p = v then u else p in
+        dist.((a * n) + b) - dist.((mv a * n) + mv b)
     end
   in
   (* maximal (gain, score) first; Hfine only among the survivors *)

@@ -33,9 +33,9 @@ type config = {
   min_gates : int option;
       (** floor on each sampled case's body-gate count (width is
           unchanged) — the large-scale-tier knob: pairing a wide device
-          with e.g. [Some 10_000] drives the sparse distance backend
-          through full-size circuits while staying reproducible from the
-          same two integers *)
+          with e.g. [Some 10_000] drives a 100+-qubit device's distance
+          table through full-size circuits while staying reproducible
+          from the same two integers *)
 }
 
 val default_devices : (string * Arch.Coupling.t) list

@@ -36,7 +36,7 @@ type state = {
   coupling : Arch.Coupling.t;
   config : config;
   n_phys : int;
-  table : int array;  (** dense distance table; [[||]] on the sparse backend *)
+  table : int array;  (** {!Arch.Coupling.distance_table} *)
   dag : Qc.Dag.t;
   layout : Arch.Layout.t;  (** private copy, swapped in place *)
   record : bool;  (** whether to build the gate list ({!run} only) *)
@@ -68,9 +68,7 @@ type state = {
   mutable de : int;
 }
 
-let[@inline] dist st a b =
-  if Array.length st.table > 0 then st.table.((a * st.n_phys) + b)
-  else Arch.Coupling.distance_raw st.coupling a b
+let[@inline] dist st a b = st.table.((a * st.n_phys) + b)
 
 let[@inline] phys st q = Arch.Layout.phys_of_log st.layout q
 
@@ -336,10 +334,7 @@ let route ~record ~config ~maqam ~initial circuit =
       coupling;
       config;
       n_phys = n_physical;
-      table =
-        (match Arch.Coupling.backend coupling with
-        | Arch.Coupling.Dense -> Arch.Coupling.distance_table coupling
-        | Arch.Coupling.Sparse -> [||]);
+      table = Arch.Coupling.distance_table coupling;
       dag;
       layout = Arch.Layout.copy initial;
       record;

@@ -137,14 +137,14 @@ let prop_distance_metric =
       done;
       !ok)
 
-(* ---------------------------------------------- sparse distance provider *)
+(* ---------------------------------------------------------- distance table *)
 
-(* Random couplings up to 200 qubits: a random spanning tree (with some
+(* Random couplings up to the qubit cap: a random spanning tree (with some
    child edges optionally dropped, so multi-component graphs — and their
    -1 sentinels — are generated too) plus random extra edges. *)
 let big_graph_gen =
   let open QCheck.Gen in
-  let* n = int_range 2 200 in
+  let* n = int_range 2 Arch.Coupling.max_qubits in
   let* tree =
     flatten_l
       (List.init (n - 1) (fun i ->
@@ -186,109 +186,90 @@ let big_graph_arb =
         es)
     big_graph_gen
 
-(* The tentpole equivalence: on any coupling — connected or not — the
-   sparse provider's rows hold exactly the integers the dense table
-   would, -1 unreachable sentinel included. Row-cache eviction churns
-   throughout (the cap is 64, n goes to 200), so the bounded cache is
-   exercised too. *)
-let prop_sparse_equals_dense =
-  QCheck.Test.make ~count:100
-    ~name:"sparse provider rows = dense matrix rows (incl. -1 sentinel)"
-    big_graph_arb
-    (fun (n, edges) ->
-      let dense =
-        Arch.Coupling.make ~backend:Arch.Coupling.Dense ~name:"d" ~n edges
-      in
-      let sparse =
-        Arch.Coupling.make ~backend:Arch.Coupling.Sparse ~name:"s" ~n edges
-      in
-      let ok = ref true in
-      (* Point queries on a virgin sparse twin first: with no row resident,
-         distance_raw must answer through the early-exit point BFS, and the
-         integers must match the dense table exactly. *)
-      let virgin =
-        Arch.Coupling.make ~backend:Arch.Coupling.Sparse ~name:"v" ~n edges
-      in
-      for a = 0 to n - 1 do
-        let b = (a * 7 + 3) mod n in
-        if Arch.Coupling.distance_raw virgin a b
-           <> Arch.Coupling.distance_raw dense a b
-        then ok := false
-      done;
-      for a = 0 to n - 1 do
-        if Arch.Coupling.distance_row dense a
-           <> Arch.Coupling.distance_row sparse a
-        then ok := false
-      done;
-      if Arch.Coupling.rows_cached sparse > Arch.Coupling.dense_limit then
-        ok := false;
-      if Arch.Coupling.diameter dense <> Arch.Coupling.diameter sparse then
-        ok := false;
-      if Arch.Coupling.connected dense <> Arch.Coupling.connected sparse then
-        ok := false;
-      !ok)
+(* Distances from [src] by a textbook queue BFS over adjacency lists built
+   straight from the edge list: an oracle sharing no code with [make]. *)
+let plain_bfs n edges src =
+  let adj = Array.make n [] in
+  List.iter
+    (fun (a, b) ->
+      adj.(a) <- b :: adj.(a);
+      adj.(b) <- a :: adj.(b))
+    edges;
+  let dist = Array.make n (-1) in
+  let q = Queue.create () in
+  dist.(src) <- 0;
+  Queue.add src q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    List.iter
+      (fun v ->
+        if dist.(v) < 0 then begin
+          dist.(v) <- dist.(u) + 1;
+          Queue.add v q
+        end)
+      adj.(u)
+  done;
+  dist
 
-(* Landmark/coordinate estimates must be admissible: never above the true
-   distance on connected pairs, 0 exactly on the diagonal. *)
-let prop_lower_bound_admissible =
+(* On any coupling up to the cap — connected or not — every table row
+   holds exactly the integers of a plain BFS, -1 unreachable sentinel
+   included, and the derived queries (distance, reachable, diameter,
+   connected, footprint) agree with it. *)
+let prop_table_equals_bfs =
   QCheck.Test.make ~count:60
-    ~name:"distance_lower_bound is an admissible estimate" big_graph_arb
+    ~name:"distance table = plain BFS (incl. -1 sentinel)" big_graph_arb
     (fun (n, edges) ->
-      let g =
-        Arch.Coupling.make ~backend:Arch.Coupling.Sparse ~name:"s" ~n edges
-      in
-      let ok = ref true in
+      let g = Arch.Coupling.make ~name:"g" ~n edges in
+      let table = Arch.Coupling.distance_table g in
+      let ok = ref (Array.length table = n * n) in
+      let diameter = ref 0 and connected = ref true in
       for a = 0 to n - 1 do
-        let row = Arch.Coupling.distance_row g a in
+        let row = plain_bfs n edges a in
         for b = 0 to n - 1 do
-          let lb = Arch.Coupling.distance_lower_bound g a b in
-          if a = b then begin
-            if lb <> 0 then ok := false
-          end
-          else if row.(b) >= 0 then
-            if lb < 1 || lb > row.(b) then ok := false
+          let d = row.(b) in
+          if table.((a * n) + b) <> d then ok := false;
+          if Arch.Coupling.reachable g a b <> (d >= 0) then ok := false;
+          if d >= 0 && Arch.Coupling.distance g a b <> d then ok := false;
+          if d > !diameter then diameter := d;
+          if d < 0 then connected := false
         done
       done;
+      if Arch.Coupling.diameter g <> !diameter then ok := false;
+      if Arch.Coupling.connected g <> !connected then ok := false;
+      if Arch.Coupling.rows_cached g <> n then ok := false;
+      if Arch.Coupling.dist_bytes g <> n * n * (Sys.word_size / 8) then
+        ok := false;
       !ok)
 
-let test_sparse_backend_selection () =
-  (* the threshold: 64 stays dense (Sycamore included), 65 goes sparse *)
-  Alcotest.(check bool) "sycamore dense" true
-    (Arch.Coupling.backend Arch.Devices.sycamore_54 = Arch.Coupling.Dense);
-  Alcotest.(check bool) "linear-64 dense" true
-    (Arch.Coupling.backend (Arch.Devices.linear 64) = Arch.Coupling.Dense);
-  Alcotest.(check bool) "linear-65 sparse" true
-    (Arch.Coupling.backend (Arch.Devices.linear 65) = Arch.Coupling.Sparse);
-  (* a sparse device refuses to materialise the O(V^2) table *)
-  Alcotest.(check bool) "distance_table raises on sparse" true
+let test_qubit_cap () =
+  let cap = Arch.Coupling.max_qubits in
+  (* the largest zoo devices fit under the cap *)
+  Alcotest.(check int) "heavy-hex-13 builds" 409
+    (Arch.Coupling.n_qubits (Arch.Devices.heavy_hex ~distance:13));
+  Alcotest.(check int) "grid-20x20 builds" 400
+    (Arch.Coupling.n_qubits (Arch.Devices.grid ~rows:20 ~cols:20));
+  Alcotest.(check int) "a path of exactly the cap builds" cap
+    (Arch.Coupling.n_qubits (Arch.Devices.linear cap));
+  Alcotest.(check bool) "cap + 1 raises" true
     (try
-       ignore (Arch.Coupling.distance_table (Arch.Devices.linear 65));
+       ignore (Arch.Coupling.make ~name:"over" ~n:(cap + 1) []);
        false
      with Invalid_argument _ -> true);
-  (* the row cache stays bounded no matter how many sources are touched *)
-  let g = Arch.Devices.linear 150 in
-  for src = 0 to 149 do
-    ignore (Arch.Coupling.distance_row g src)
-  done;
-  Alcotest.(check bool) "row cache bounded" true
-    (Arch.Coupling.rows_cached g <= Arch.Coupling.dense_limit);
-  Alcotest.(check bool) "footprint below dense" true
-    (Arch.Coupling.dist_bytes g < 150 * 150 * (Sys.word_size / 8));
-  (* evicted rows recompute to the same values *)
-  Alcotest.(check int) "recomputed row agrees" 149
-    (Arch.Coupling.distance_row g 0).(149)
+  Alcotest.(check bool) "linear (cap + 1) raises" true
+    (try
+       ignore (Arch.Devices.linear (cap + 1));
+       false
+     with Invalid_argument _ -> true)
 
-let test_sparse_disconnected () =
-  (* deterministic multi-component check on a >dense_limit device *)
+let test_disconnected_100 () =
+  (* deterministic multi-component check on a 100-qubit device *)
   let edges = List.init 48 (fun i -> (i, i + 1)) in
   let edges = edges @ List.init 49 (fun i -> (50 + i, 51 + i)) in
   let g = Arch.Coupling.make ~name:"two-islands-100" ~n:100 edges in
-  Alcotest.(check bool) "sparse" true
-    (Arch.Coupling.backend g = Arch.Coupling.Sparse);
   Alcotest.(check bool) "not connected" false (Arch.Coupling.connected g);
-  Alcotest.(check int) "cross-component raw sentinel"
+  Alcotest.(check int) "cross-component table sentinel"
     Arch.Coupling.unreachable_distance
-    (Arch.Coupling.distance_raw g 0 99);
+    (Arch.Coupling.distance_table g).(99);
   Alcotest.(check bool) "cross-component distance raises" true
     (try
        ignore (Arch.Coupling.distance g 0 99);
@@ -367,13 +348,6 @@ let test_heavy_hex () =
   Alcotest.(check int) "d=9 is 193" 193 (size 9);
   Alcotest.(check int) "d=11 is 291" 291 (size 11);
   Alcotest.(check int) "d=13 is 409" 409 (size 13);
-  (* backend: d=3 (19 qubits) stays dense, the big ones go sparse *)
-  Alcotest.(check bool) "d=3 dense" true
-    (Arch.Coupling.backend (Arch.Devices.heavy_hex ~distance:3)
-    = Arch.Coupling.Dense);
-  Alcotest.(check bool) "d=7 sparse" true
-    (Arch.Coupling.backend (Arch.Devices.heavy_hex ~distance:7)
-    = Arch.Coupling.Sparse);
   let rejects d =
     try
       ignore (Arch.Devices.heavy_hex ~distance:d);
@@ -408,13 +382,7 @@ let test_by_name () =
   Alcotest.(check bool) "tiny heavy-hex" true
     (Arch.Devices.by_name "heavy-hex-1" = None);
   Alcotest.(check bool) "garbled heavy-hex" true
-    (Arch.Devices.by_name "heavy-hex-x" = None);
-  (* names over dense_limit resolve onto the sparse backend *)
-  (match Arch.Devices.by_name "grid-20x20" with
-  | Some c ->
-    Alcotest.(check bool) "grid-20x20 sparse" true
-      (Arch.Coupling.backend c = Arch.Coupling.Sparse)
-  | None -> Alcotest.fail "grid-20x20 not found")
+    (Arch.Devices.by_name "heavy-hex-x" = None)
 
 let test_ring_grid () =
   let r = Arch.Devices.ring 6 in
@@ -656,12 +624,10 @@ let () =
         ] );
       ( "provider",
         [
-          Alcotest.test_case "backend selection" `Quick
-            test_sparse_backend_selection;
-          Alcotest.test_case "sparse disconnected" `Quick
-            test_sparse_disconnected;
-          QCheck_alcotest.to_alcotest prop_sparse_equals_dense;
-          QCheck_alcotest.to_alcotest prop_lower_bound_admissible;
+          Alcotest.test_case "qubit cap" `Quick test_qubit_cap;
+          Alcotest.test_case "disconnected 100-qubit device" `Quick
+            test_disconnected_100;
+          QCheck_alcotest.to_alcotest prop_table_equals_bfs;
         ] );
       ( "devices",
         [

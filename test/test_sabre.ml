@@ -384,13 +384,6 @@ let test_no_candidate_stuck () =
        (fun () -> Sabre.Router.run ~maqam ~initial:(identity 2 3) circuit)
        routed_digest)
 
-(* Sycamore-54 again, on the sparse distance backend (per-pair BFS rather
-   than the flat table) — its routes must not differ. *)
-let sycamore_sparse =
-  let c = Arch.Devices.sycamore_54 in
-  Arch.Coupling.make ?coords:(Arch.Coupling.coords c) ~backend:Arch.Coupling.Sparse
-    ~name:"sycamore-sparse" ~n:(Arch.Coupling.n_qubits c) (Arch.Coupling.edges c)
-
 let prop_final_layout =
   let devices =
     [|
@@ -424,11 +417,6 @@ let prop_final_layout =
       if r <> l then QCheck.Test.fail_reportf "run: %s, final_layout: %s" r l;
       if Arch.Layout.to_array initial <> before then
         QCheck.Test.fail_report "initial layout mutated";
-      (if d = 1 then
-         let sparse = Arch.Maqam.make ~coupling:sycamore_sparse ~durations:sc in
-         let digest c = routed_digest (Sabre.Router.run ~maqam:c ~initial circuit) in
-         if digest maqam <> digest sparse then
-           QCheck.Test.fail_report "sparse backend routes differently");
       true)
 
 let () =
