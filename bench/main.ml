@@ -815,8 +815,8 @@ let smoke () =
 
 (* --------------------------------------------------------------- Loadgen *)
 
-(* Sustained-load benchmark for the compile service (BENCH_PR7.json): for
-   each io-model × concurrency cell, fork a daemon child, drive N
+(* Sustained-load benchmark for the compile service: for each
+   concurrency cell, fork a daemon child, drive N
    persistent pipelined connections from one single-threaded select loop
    for a fixed wall-clock window, and report sustained RPS plus
    p50/p99/p999 reply latency. Streams mix warm requests (a fixed route
@@ -862,7 +862,6 @@ type lg_conn = {
 }
 
 type lg_cell = {
-  cell_io : Service.Config.io_model;
   cell_conns : int;
   rps : float;
   p50_us : float;
@@ -1011,13 +1010,11 @@ let lg_drive ~conns:n ~duration ~warmup ~window ~reference sock =
     !errors,
     float_of_int !measured /. (t_end -. t_measure) )
 
-let lg_cell ~io_model ~conns ~duration ~warmup ~window ~trials =
+let lg_cell ~conns ~duration ~warmup ~window ~trials =
   let sock =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Fmt.str "codar-loadgen-%d-%s-%d.sock" (Unix.getpid ())
-         (Service.Config.io_model_to_string io_model)
-         conns)
+      (Fmt.str "codar-loadgen-%d-%d.sock" (Unix.getpid ()) conns)
   in
   (* the daemon child: fresh process, own domains/threads, own fd table *)
   let pid = Unix.fork () in
@@ -1025,11 +1022,10 @@ let lg_cell ~io_model ~conns ~duration ~warmup ~window ~trials =
     (try
        ignore
          (Service.Server.run
-            (* a deep queue so neither io model sheds colds as cheap
-               ["overloaded"] errors: both must do identical route work *)
+            (* a deep queue so colds are routed, not shed as cheap
+               ["overloaded"] errors *)
             (Service.Server.config ~jobs:(Pool.default_jobs ())
-               ~cache_entries:1024 ~queue_capacity:1024 ~io_model
-               ~socket_path:sock ()))
+               ~cache_entries:1024 ~queue_capacity:1024 ~socket_path:sock ()))
      with _ -> ());
     Unix._exit 0
   end;
@@ -1094,7 +1090,6 @@ let lg_cell ~io_model ~conns ~duration ~warmup ~window ~trials =
   | _, Unix.WEXITED 0 -> ()
   | _, _ -> failwith "loadgen: daemon child did not exit cleanly");
   {
-    cell_io = io_model;
     cell_conns = conns;
     rps;
     p50_us = lg_percentile sorted 0.50;
@@ -1110,61 +1105,33 @@ let lg_cell ~io_model ~conns ~duration ~warmup ~window ~trials =
   }
 
 let loadgen ?json ~conns_list ~duration ~trials () =
-  Fmt.pr
-    "@.== Sustained load: evented vs threaded (warm route + 1/16 cold, \
-     %.1fs/cell) ==@."
+  Fmt.pr "@.== Sustained load (warm route + 1/16 cold, %.1fs/cell) ==@."
     duration;
   let warmup = Float.min 1.0 (Float.max 0.1 (duration /. 5.)) in
   let window = 8 in
-  Fmt.pr "%-9s %6s %10s %9s %9s %9s %9s %7s %6s@." "io-model" "conns" "rps"
-    "p50(us)" "p99(us)" "p999(us)" "replies" "cold" "errs";
+  Fmt.pr "%6s %10s %9s %9s %9s %9s %7s %6s@." "conns" "rps" "p50(us)"
+    "p99(us)" "p999(us)" "replies" "cold" "errs";
   let cells =
-    List.concat_map
-      (fun io_model ->
-        List.map
-          (fun conns ->
-            let c =
-              lg_cell ~io_model ~conns ~duration ~warmup ~window ~trials
-            in
-            Fmt.pr "%-9s %6d %10.0f %9.0f %9.0f %9.0f %9d %7d %6d@."
-              (Service.Config.io_model_to_string c.cell_io)
-              c.cell_conns c.rps c.p50_us c.p99_us c.p999_us c.replies
-              c.cold_sent c.err_replies;
-            if c.replies = 0 then failwith "loadgen: no replies measured";
-            if c.warm_mismatches > 0 then
-              Fmt.failwith
-                "loadgen: %d warm replies were not byte-identical under load \
-                 (%s, %d conns)"
-                c.warm_mismatches
-                (Service.Config.io_model_to_string c.cell_io)
-                c.cell_conns;
-            c)
-          conns_list)
-      [ Service.Config.Evented; Service.Config.Threaded ]
+    List.map
+      (fun conns ->
+        let c = lg_cell ~conns ~duration ~warmup ~window ~trials in
+        Fmt.pr "%6d %10.0f %9.0f %9.0f %9.0f %9d %7d %6d@." c.cell_conns c.rps
+          c.p50_us c.p99_us c.p999_us c.replies c.cold_sent c.err_replies;
+        if c.replies = 0 then failwith "loadgen: no replies measured";
+        if c.warm_mismatches > 0 then
+          Fmt.failwith
+            "loadgen: %d warm replies were not byte-identical under load (%d \
+             conns)"
+            c.warm_mismatches c.cell_conns;
+        c)
+      conns_list
   in
-  (* head-to-head summary at equal concurrency *)
-  Fmt.pr "@.-- evented / threaded at equal concurrency --@.";
-  List.iter
-    (fun conns ->
-      let find io =
-        List.find
-          (fun c -> c.cell_io = io && c.cell_conns = conns)
-          cells
-      in
-      let e = find Service.Config.Evented
-      and t = find Service.Config.Threaded in
-      Fmt.pr "%6d conns: rps x%.2f, p99 x%.2f@." conns (e.rps /. t.rps)
-        (e.p99_us /. t.p99_us))
-    conns_list;
   match json with
   | None -> ()
   | Some path ->
     let cell_json c =
       Report.Json.Obj
         [
-          ( "io_model",
-            Report.Json.String
-              (Service.Config.io_model_to_string c.cell_io) );
           ("conns", Report.Json.Int c.cell_conns);
           ("rps", Report.Json.Float c.rps);
           ("p50_us", Report.Json.Float c.p50_us);
@@ -1182,7 +1149,7 @@ let loadgen ?json ~conns_list ~duration ~trials () =
     let doc =
       Report.Json.Obj
         [
-          ("schema", Report.Json.String "codar-bench-loadgen/1");
+          ("schema", Report.Json.String "codar-bench-loadgen/2");
           ("ocaml", Report.Json.String Sys.ocaml_version);
           ("duration_s", Report.Json.Float duration);
           ("window", Report.Json.Int window);

@@ -176,12 +176,21 @@ let heavy_hex ~distance =
 let evaluation_devices =
   [ ibm_q16_melbourne; enfield_6x6; ibm_q20_tokyo; sycamore_54 ]
 
+(* Names are validated from the parsed size alone, before anything is
+   built: a malformed or above-cap size is [None], never an exception
+   and never a large allocation. *)
 let by_name s =
   let s = String.lowercase_ascii s in
   let prefixed p = String.length s > String.length p
                    && String.sub s 0 (String.length p) = p in
   let suffix p = String.sub s (String.length p)
       (String.length s - String.length p) in
+  let cap = Coupling.max_qubits in
+  let sized p ~min build =
+    match int_of_string_opt (suffix p) with
+    | Some n when n >= min && n <= cap -> Some (build n)
+    | Some _ | None -> None
+  in
   match s with
   | "melbourne" | "q16" | "ibm-q16-melbourne" -> Some ibm_q16_melbourne
   | "tokyo" | "q20" | "ibm-q20-tokyo" -> Some ibm_q20_tokyo
@@ -189,21 +198,24 @@ let by_name s =
   | "sycamore" | "q54" | "google-q54-sycamore" -> Some sycamore_54
   | "q5" | "ibm-q5" -> Some ibm_q5
   | _ ->
-    if prefixed "linear-" then
-      Option.map linear (int_of_string_opt (suffix "linear-"))
-    else if prefixed "ring-" then
-      Option.map ring (int_of_string_opt (suffix "ring-"))
-    else if prefixed "full-" then
-      Option.map fully_connected (int_of_string_opt (suffix "full-"))
+    if prefixed "linear-" then sized "linear-" ~min:1 linear
+    else if prefixed "ring-" then sized "ring-" ~min:3 ring
+    else if prefixed "full-" then sized "full-" ~min:1 fully_connected
     else if prefixed "heavy-hex-" then (
       match int_of_string_opt (suffix "heavy-hex-") with
-      | Some d when d >= 3 && d mod 2 = 1 -> Some (heavy_hex ~distance:d)
+      | Some d
+        when d >= 3 && d mod 2 = 1 && d <= cap
+             && ((5 * d * d) - (2 * d) - 1) / 2 <= cap ->
+        Some (heavy_hex ~distance:d)
       | Some _ | None -> None)
     else if prefixed "grid-" then
       match String.split_on_char 'x' (suffix "grid-") with
       | [ r; c ] -> (
         match (int_of_string_opt r, int_of_string_opt c) with
-        | Some rows, Some cols -> Some (grid ~rows ~cols)
-        | (None, _ | _, None) -> None)
+        | Some rows, Some cols
+          when rows >= 1 && cols >= 1 && rows <= cap && cols <= cap
+               && rows * cols <= cap ->
+          Some (grid ~rows ~cols)
+        | (Some _ | None), _ -> None)
       | _ -> None
     else None

@@ -51,6 +51,9 @@ val evaluation_devices : Coupling.t list
 val by_name : string -> Coupling.t option
 (** Lookup for the CLI: ["melbourne"], ["tokyo"], ["6x6"] / ["enfield"],
     ["sycamore"], ["q5"], ["linear-<n>"], ["ring-<n>"], ["grid-<r>x<c>"],
-    ["full-<n>"], ["heavy-hex-<d>"] (d odd, >= 3). Malformed names (even
-    heavy-hex distances included) are [None], which the CLI maps to its
-    usage exit code. *)
+    ["full-<n>"], ["heavy-hex-<d>"] (d odd, >= 3). Malformed names —
+    even heavy-hex distances, sizes below a family's minimum (a ring
+    needs 3 qubits, the others 1) and devices above
+    {!Coupling.max_qubits} included — are [None], decided from the
+    parsed size before anything is built; the CLI maps [None] to its
+    usage exit code and the daemon to a [bad_request] reply. *)

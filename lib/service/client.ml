@@ -24,7 +24,6 @@ let recv_line t =
   | `Line l -> Some l
   | `Eof -> None
   | `Oversized -> failwith "Service.Client: reply exceeds the frame limit"
-  | `Timeout -> assert false (* no timeout_s passed *)
 
 let request t line =
   send_line t line;

@@ -1,19 +1,6 @@
-(* Shared daemon configuration. Lives in its own module so the two server
-   implementations ([Server], the thread-per-connection original, and
-   [Evented], the select loop) can both consume it without a dependency
-   cycle: [Server.run] dispatches on [io_model], so [Server] depends on
-   [Evented], and [Evented] needs the config record. *)
-
-type io_model = Threaded | Evented
-
-let io_model_to_string = function
-  | Threaded -> "threaded"
-  | Evented -> "evented"
-
-let io_model_of_string = function
-  | "threaded" -> Some Threaded
-  | "evented" -> Some Evented
-  | _ -> None
+(* Daemon configuration. Lives in its own module so [Evented] can read
+   the record without a dependency cycle: [Server] depends on [Evented],
+   and [Evented] needs the config record. *)
 
 type t = {
   socket_path : string;
@@ -26,7 +13,6 @@ type t = {
   backlog : int;
   timeout_ms : int option;
   handle_signals : bool;
-  io_model : io_model;
   write_watermark_bytes : int;
   max_connections : int;
   on_route_start : (string -> unit) option;
@@ -43,7 +29,6 @@ let default_max_connections = 960
 let make ?(jobs = 1) ?(cache_entries = 1024) ?cache_bytes ?cache_file
     ?(max_request_bytes = Frame.default_max_bytes) ?(queue_capacity = 64)
     ?(backlog = 64) ?timeout_ms ?(handle_signals = false)
-    ?(io_model = Evented)
     ?(write_watermark_bytes = default_write_watermark_bytes)
     ?(max_connections = default_max_connections) ?on_route_start
     ~socket_path () =
@@ -67,7 +52,6 @@ let make ?(jobs = 1) ?(cache_entries = 1024) ?cache_bytes ?cache_file
     backlog;
     timeout_ms;
     handle_signals;
-    io_model;
     write_watermark_bytes;
     max_connections;
     on_route_start;

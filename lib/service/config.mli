@@ -1,15 +1,6 @@
-(** Daemon configuration, shared by the two server implementations
-    ({!Server}, thread-per-connection; {!Evented}, select loop). A
-    separate module breaks the [Server] → [Evented] → config cycle.
-    {!Server.config} is the public constructor; this module is the
-    record both implementations read. *)
-
-type io_model =
-  | Threaded  (** one thread per connection (the PR 5 design) *)
-  | Evented  (** one I/O thread multiplexing every socket via [select] *)
-
-val io_model_to_string : io_model -> string
-val io_model_of_string : string -> io_model option
+(** Daemon configuration. A separate module breaks the [Server] →
+    [Evented] → config cycle. {!Server.config} is the public
+    constructor; this module is the record the {!Evented} loop reads. *)
 
 type t = {
   socket_path : string;
@@ -28,13 +19,12 @@ type t = {
   handle_signals : bool;
       (** install SIGTERM/SIGINT handlers that drain gracefully; off by
           default so in-process tests keep their signal dispositions *)
-  io_model : io_model;  (** which server implementation [run] starts *)
   write_watermark_bytes : int;
       (** backpressure threshold: a connection whose buffered unsent
           reply bytes exceed this stops being read until the buffer
-          drains below it again (evented server only) *)
+          drains below it again *)
   max_connections : int;
-      (** concurrent-connection cap for the evented server: at the cap
+      (** concurrent-connection cap: at the cap
           the listen fd stops being polled, so further connections wait
           in the kernel's listen backlog until a slot frees. Required
           because [Unix.select] rejects fds at or beyond FD_SETSIZE
@@ -62,7 +52,6 @@ val make :
   ?backlog:int ->
   ?timeout_ms:int ->
   ?handle_signals:bool ->
-  ?io_model:io_model ->
   ?write_watermark_bytes:int ->
   ?max_connections:int ->
   ?on_route_start:(string -> unit) ->
@@ -71,8 +60,7 @@ val make :
   t
 (** Defaults: 1 job, 1024 cache entries, no byte cap, no cache file,
     {!Frame.default_max_bytes}, queue capacity 64, backlog 64, no
-    deadline, no signal handling, [Evented],
-    {!default_write_watermark_bytes}, {!default_max_connections}.
+    deadline, no signal handling, {!default_write_watermark_bytes}, {!default_max_connections}.
     Raises [Invalid_argument] on [jobs < 1], [queue_capacity < 1],
     [timeout_ms < 1], [write_watermark_bytes < 1] or
     [max_connections < 1]. *)

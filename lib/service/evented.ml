@@ -1,9 +1,8 @@
-(* The evented server: one I/O thread multiplexing every client socket
+(* The daemon's server: one I/O thread multiplexing every client socket
    through [Unix.select], non-blocking fds, and explicit per-connection
-   read/write buffers. The Domain pool still does the routing work — the
-   dispatcher thread is unchanged in spirit from [Server] — but finished
-   outcomes come back to the loop over a self-pipe instead of a condition
-   broadcast into per-connection threads.
+   read/write buffers. The Domain pool does the routing work, driven by
+   one dispatcher thread; finished outcomes come back to the loop over a
+   self-pipe.
 
    Per-connection state machine:
 
@@ -25,13 +24,12 @@
    - Both deadline kinds fold into the select timeout: the earliest of
      every mid-frame read deadline ([frame_start] + timeout) and every
      waiting slot's route deadline bounds the sleep, so expiry is
-     observed without any ticker thread.
+     observed without a timer thread.
 
-   Fault-injection parity with the threaded server: reads go through
-   {!Frame.read_once} [~inject:true] (same point order as the blocking
-   reader); [Frame_write_error] is queried once per enqueued reply frame
-   — the rate the threaded [Frame.write] sees — rather than once per
-   [write] syscall. The fault-soak transcript pins this. *)
+   Fault injection: reads go through {!Frame.read_once} [~inject:true]
+   (mid-frame EOF, stall, short read, in that order); [Frame_write_error]
+   is queried once per enqueued reply frame rather than once per [write]
+   syscall. The fault-soak transcript pins this. *)
 
 module Json = Report.Json
 open Config

@@ -1,14 +1,13 @@
-(** The evented server implementation behind
-    [serve --io-model evented] (the default): one I/O thread multiplexes
+(** The daemon's server ([codar_cli serve]): one I/O thread multiplexes
     every client socket through [Unix.select] over non-blocking fds,
     with per-connection read/write buffers and a reading → queued →
     routing → writing state machine; the Domain pool does the routing;
     outcomes return over a self-pipe. Both deadline kinds (mid-frame
-    read, slow route) fold into the select timeout — no ticker thread —
+    read, slow route) fold into the select timeout — no timer thread —
     and a write-buffer high-watermark backpressures slow consumers.
 
-    {!Server.run} dispatches here; the behavioural guarantees documented
-    on {!Server} hold for both implementations. *)
+    {!Server.run} is {!run}; the behavioural guarantees are documented
+    on {!Server}. *)
 
 val select_timeout : now:float -> float list -> float
 (** Seconds the loop may sleep given the armed absolute deadlines:

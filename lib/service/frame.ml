@@ -1,43 +1,27 @@
 (* Newline-delimited frame I/O over a file descriptor, shared by the server
-   and the client. The reader enforces the frame size limit *while
-   buffering*, so an abusive client cannot balloon daemon memory by simply
-   never sending a newline.
-
-   Two optional behaviours, both off by default so the client side stays
-   untouched:
-
-   - [?timeout_s] on [read]: a deadline on *completing a frame*, armed
-     only once the first byte of a frame has been buffered. An idle
-     keep-alive connection is never timed out; a client that stalls
-     mid-frame is — the caller answers [deadline_exceeded] and drops the
-     connection (framing is suspect once a partial frame is abandoned).
-   - [?inject] on [reader]/[write]: opt this endpoint into the armed
-     {!Faults} plan (short reads, mid-frame EOF, stalls, write errors).
-     The server opts in; clients do not, so an in-process fault-soak
-     test injects only on the daemon side of each socket. *)
+   and the client. The client's blocking [reader] enforces the frame size
+   limit *while buffering*, so a reply without a newline cannot balloon
+   its memory. The server's non-blocking primitives ([read_once],
+   [write_once]) sit at the bottom; [read_once ~inject] opts the daemon
+   into the armed {!Faults} plan (short reads, mid-frame EOF, stalls). *)
 
 type reader = {
   fd : Unix.file_descr;
   max_bytes : int;
-  inject : bool;
   buf : Buffer.t;
   chunk : Bytes.t;
   mutable eof : bool;
-  mutable frame_start : float option;
-      (* when the oldest buffered byte of an incomplete frame arrived *)
 }
 
 let default_max_bytes = 8 * 1024 * 1024
 
-let reader ?(max_bytes = default_max_bytes) ?(inject = false) fd =
+let reader ?(max_bytes = default_max_bytes) fd =
   {
     fd;
     max_bytes;
-    inject;
     buf = Buffer.create 512;
     chunk = Bytes.create 65536;
     eof = false;
-    frame_start = None;
   }
 
 (* take one complete line out of [buf], if any *)
@@ -49,29 +33,16 @@ let take_line r =
     let line = String.sub s 0 i in
     Buffer.clear r.buf;
     Buffer.add_substring r.buf s (i + 1) (String.length s - i - 1);
-    (* leftover bytes belong to the next frame; its clock starts when the
-       caller next asks for it *)
-    r.frame_start <- None;
     Some line
 
-(* one [Unix.read], with the fault plan's read-side points applied *)
 let do_read r =
-  if r.inject && Faults.fire Faults.Frame_read_eof then 0
-  else begin
-    if r.inject then Faults.pause Faults.Frame_stall;
-    let cap =
-      if r.inject && Faults.fire Faults.Frame_short_read then 1
-      else Bytes.length r.chunk
-    in
-    try Unix.read r.fd r.chunk 0 cap with
-    | Unix.Unix_error (Unix.EINTR, _, _) -> -1 (* retry *)
-    | Unix.Unix_error
-        ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF | Unix.ENOTCONN), _, _)
-      ->
-      0
-  end
+  try Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+  | Unix.Unix_error (Unix.EINTR, _, _) -> -1 (* retry *)
+  | Unix.Unix_error
+      ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF | Unix.ENOTCONN), _, _) ->
+    0
 
-let rec read ?timeout_s r =
+let rec read r =
   match take_line r with
   | Some line ->
     (* a complete line can exceed the cap too, when it arrives newline
@@ -85,51 +56,21 @@ let rec read ?timeout_s r =
         (* final unterminated frame: accept it (lenient EOF framing) *)
         let line = Buffer.contents r.buf in
         Buffer.clear r.buf;
-        r.frame_start <- None;
         `Line line
       end
     else begin
-      let timed_out =
-        match timeout_s with
-        | Some limit when Buffer.length r.buf > 0 -> (
-          let now = Unix.gettimeofday () in
-          let start =
-            match r.frame_start with
-            | Some s -> s
-            | None ->
-              r.frame_start <- Some now;
-              now
-          in
-          let remaining = limit -. (now -. start) in
-          if remaining <= 0. then true
-          else
-            (* wait for more bytes, but no longer than the deadline *)
-            match Unix.select [ r.fd ] [] [] remaining with
-            | [], _, _ -> true
-            | _ -> false
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> false)
-        | _ -> false
-      in
-      if timed_out then `Timeout
-      else begin
-        let n = do_read r in
-        if n = 0 then r.eof <- true
-        else if n > 0 then begin
-          if Buffer.length r.buf = 0 && r.frame_start = None then
-            r.frame_start <- Some (Unix.gettimeofday ());
-          Buffer.add_subbytes r.buf r.chunk 0 n
-        end;
-        read ?timeout_s r
-      end
+      let n = do_read r in
+      if n = 0 then r.eof <- true
+      else if n > 0 then Buffer.add_subbytes r.buf r.chunk 0 n;
+      read r
     end
 
 (* ------------------------------------------- non-blocking primitives *)
 
-(* One read attempt against a (normally O_NONBLOCK) fd, for the evented
-   server's loop. Applies the same read-side fault points in the same
-   order as [do_read], so a soak plan drives an evented daemon through
-   the same decision sequence a threaded one sees: mid-frame EOF first,
-   then the stall pause, then the short-read cap. *)
+(* One read attempt against a (normally O_NONBLOCK) fd, for the server's
+   loop. With [inject], the read-side fault points apply in a fixed
+   order: mid-frame EOF first, then the stall pause, then the short-read
+   cap. *)
 let read_once ?(inject = false) fd bytes =
   if inject && Faults.fire Faults.Frame_read_eof then `Eof
   else begin
@@ -155,8 +96,7 @@ let read_once ?(inject = false) fd bytes =
 (* One write attempt; partial progress is the caller's buffer problem.
    No fault point here on purpose: [Frame_write_error] fires once per
    reply frame, and a non-blocking writer may need many attempts per
-   frame — the evented server queries the point when it *enqueues* a
-   frame, keeping fault-query parity with the threaded [write]. *)
+   frame — the server queries the point when it *enqueues* a frame. *)
 let write_once fd s ~pos ~len =
   match Unix.write_substring fd s pos len with
   | n -> `Wrote n
@@ -165,10 +105,7 @@ let write_once fd s ~pos ~len =
     ->
     `Again
 
-let write ?(inject = false) fd line =
-  if inject && Faults.fire Faults.Frame_write_error then
-    (* a vanished client, as the kernel would report it *)
-    raise (Unix.Unix_error (Unix.EPIPE, "write", "fault-injected"));
+let write fd line =
   let payload = line ^ "\n" in
   let len = String.length payload in
   let pos = ref 0 in

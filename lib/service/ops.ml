@@ -1,8 +1,6 @@
-(* Request handling shared by the two server implementations. Everything
-   here is either pure or parameterised over the caller's cache access,
-   so [Server] (thread-per-connection, blocking waits) and [Evented]
-   (select loop, parked continuations) produce byte-identical frames for
-   every operation that does not involve waiting on a route. *)
+(* Request handling for the [Evented] loop: every operation that does not
+   involve waiting on a route. Everything here is either pure or
+   parameterised over the caller's cache access. *)
 
 module Json = Report.Json
 
@@ -91,9 +89,8 @@ let cache_info_json cache =
       ("counters", Protocol.cache_counters_to_json (Cache.counters cache));
     ]
 
-(* [get_cache]/[set_cache] abstract over the caller's locking discipline:
-   the threaded server reads the cache pointer under its mutex, the
-   evented one owns it from the loop thread. *)
+(* [get_cache]/[set_cache] read and replace the loop thread's cache
+   pointer. *)
 let handle_cache ~(cfg : Config.t) ~get_cache ~set_cache ?id action =
   let path_or ~fallback = function
     | Some p -> Ok p

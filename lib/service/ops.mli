@@ -1,8 +1,5 @@
-(** Request-handling helpers shared by {!Server} (threaded) and
-    {!Evented} (select loop), factored so the two implementations emit
-    byte-identical frames for every non-waiting operation — the premise
-    of comparing them under one fault-soak transcript and one smoke
-    suite. *)
+(** Request-handling helpers of the {!Evented} loop: reply frames for
+    every non-waiting operation, cache persistence and socket setup. *)
 
 module Json = Report.Json
 

@@ -3,8 +3,7 @@
     a content-addressed {!Cache} when it can.
 
     Guarantees (asserted by test/test_service.ml, test/test_faults.ml and
-    the service-smoke / fault-smoke rules), holding under {e both} I/O
-    models:
+    the service-smoke / fault-smoke rules):
 
     - {b Byte-identical replay} — a cache hit replies with exactly the
       bytes of the cold route reply for the same request content.
@@ -29,16 +28,11 @@
       the accept loop, finish in-flight work, persist the cache when
       configured and make {!run} return normally (exit 0 in the CLI).
 
-    I/O models ({!Config.io_model}, [serve --io-model]):
-
-    - {b Evented} (default) — one I/O thread multiplexes every client
-      socket via [Unix.select] over non-blocking fds with per-connection
-      buffers; routing outcomes return over a self-pipe; both deadline
-      kinds fold into the select timeout; a write-buffer high-watermark
-      backpressures slow consumers ({!Evented}).
-    - {b Threaded} — one thread per connection, a dispatcher thread that
-      owns the Domain pool, and (when [timeout_ms] is set) a ticker
-      thread that broadcasts so deadline waiters can observe expiry. *)
+    I/O model ({!Evented}): one I/O thread multiplexes every client
+    socket via [Unix.select] over non-blocking fds with per-connection
+    buffers; routing outcomes return over a self-pipe; both deadline
+    kinds fold into the select timeout; a write-buffer high-watermark
+    backpressures slow consumers. *)
 
 type config = Config.t
 
@@ -52,7 +46,6 @@ val config :
   ?backlog:int ->
   ?timeout_ms:int ->
   ?handle_signals:bool ->
-  ?io_model:Config.io_model ->
   ?write_watermark_bytes:int ->
   ?max_connections:int ->
   ?on_route_start:(string -> unit) ->
@@ -61,7 +54,7 @@ val config :
   config
 (** {!Config.make}: defaults are 1 job, 1024 cache entries, no byte cap,
     no cache file, {!Frame.default_max_bytes}, queue capacity 64,
-    backlog 64, no deadline, no signal handling, [Evented],
+    backlog 64, no deadline, no signal handling,
     {!Config.default_write_watermark_bytes},
     {!Config.default_max_connections}. Raises [Invalid_argument] on
     [jobs < 1], [queue_capacity < 1], [timeout_ms < 1],
@@ -72,7 +65,7 @@ val run : ?on_ready:(unit -> unit) -> config -> Codar.Stats.service
     request (or, with [handle_signals], SIGTERM/SIGINT), then drain
     in-flight work, flush every connection, persist the cache when
     configured, unlink the socket and return the final service counters.
-    Dispatches on [cfg.io_model] ({!Evented.run} by default). A corrupt
+    This is {!Evented.run}. A corrupt
     or truncated cache file at startup logs a warning to stderr and
     starts cold — it never prevents serving. [on_ready] fires once the
     socket is listening (tests start their clients from it). Raises

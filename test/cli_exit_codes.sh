@@ -7,6 +7,7 @@
 #   3  QASM parse/lex errors
 #   4  routing/placement failures (circuit does not fit the device)
 #   5  I/O errors (unwritable output, no daemon on the socket)
+# 124  command-line errors caught by cmdliner (e.g. an unknown device)
 #
 # Usage: cli_exit_codes.sh path/to/codar_cli.exe
 set -u
@@ -36,6 +37,11 @@ printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nbananas;\n' \
 # 2: usage errors (the --input file must exist — cmdliner checks first)
 expect 2 "unknown benchmark" "$CLI" map -b no_such_bench
 expect 2 "exclusive --input/--bench" "$CLI" map -b qft_4 -i "$DIR/bad.qasm"
+
+# 124: a malformed device size is an unknown device, rejected while the
+# command line is parsed, not an uncaught exception (125)
+expect 124 "malformed device size" "$CLI" map -b qft_4 -a ring-2
+expect 124 "device above the qubit cap" "$CLI" map -b qft_4 -a linear-200000
 
 # 3: QASM that does not parse
 expect 3 "QASM parse error" "$CLI" map -i "$DIR/bad.qasm"

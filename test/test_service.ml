@@ -317,6 +317,14 @@ let test_hostile_frame_battery () =
         {|{"op":"route","bench":"qft_4","router":"portfolio","durations":"uniform","metric":"esp"}|};
       check_code "objective list on plain codar" "bad_request"
         {|{"op":"route","bench":"qft_4","router":"codar","objective":"makespan,t2"}|};
+      (* malformed and above-cap device sizes are rejected from the
+         parsed name, before anything is built *)
+      List.iter
+        (fun arch ->
+          check_code ("device " ^ arch) "bad_request"
+            (Printf.sprintf {|{"op":"route","bench":"ghz_8","arch":"%s"}|}
+               arch))
+        [ "ring-2"; "linear--3"; "grid--1x4"; "linear-200000"; "full-1500" ];
       (* ~4000 levels of nesting: a typed parse error, not a stack
          overflow or a dead connection *)
       let deep_list =
@@ -614,49 +622,6 @@ let test_request_many_pipelining () =
         (List.for_all (String.equal warm) replies));
   ignore (shutdown_and_join sock server)
 
-(* The threaded implementation stays selectable — and frame-for-frame
-   interchangeable with the evented default. *)
-let test_threaded_io_model () =
-  let sock = temp_sock "threaded" in
-  let server =
-    start
-      (Service.Server.config ~jobs:2 ~io_model:Service.Config.Threaded
-         ~socket_path:sock ())
-  in
-  let cold = request sock route_qft4 in
-  Alcotest.(check bool) "threaded cold route ok" true (reply_ok cold);
-  let hit = request sock route_qft4 in
-  Alcotest.(check string) "threaded replay byte-identical" cold hit;
-  let stats = request sock {|{"op":"stats"}|} in
-  Alcotest.(check int) "threaded counts connections" 3
-    (counter [ "service"; "connections" ] stats);
-  Alcotest.(check bool) "threaded counts bytes" true
-    (counter [ "service"; "bytes_out" ] stats > 0);
-  ignore (shutdown_and_join sock server);
-  (* same request against an evented daemon: identical frame bytes *)
-  let sock2 = temp_sock "threaded-x" in
-  let server2 =
-    start
-      (Service.Server.config ~jobs:2 ~io_model:Service.Config.Evented
-         ~socket_path:sock2 ())
-  in
-  let evented_cold = request sock2 route_qft4 in
-  (* identical frames up to the record's wall-clock field — the routing
-     result and serialisation agree; only the measured time differs *)
-  let before_wall s =
-    let pat = {|"wall_s":|} in
-    let plen = String.length pat and slen = String.length s in
-    let rec find i =
-      if i + plen > slen then s
-      else if String.equal (String.sub s i plen) pat then String.sub s 0 i
-      else find (i + 1)
-    in
-    find 0
-  in
-  Alcotest.(check string) "io models agree byte-for-byte (modulo wall_s)"
-    (before_wall cold) (before_wall evented_cold);
-  ignore (shutdown_and_join sock2 server2)
-
 let () =
   Alcotest.run "service"
     [
@@ -685,8 +650,6 @@ let () =
             test_backpressure_slow_reader;
           Alcotest.test_case "request_many pipelining" `Quick
             test_request_many_pipelining;
-          Alcotest.test_case "threaded io-model" `Quick
-            test_threaded_io_model;
         ] );
       ( "protocol",
         [
