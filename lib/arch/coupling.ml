@@ -8,7 +8,6 @@ type t = {
   name : string;
   n : int;
   adj : int list array;
-  adjm : Bytes.t;  (* n×n adjacency matrix, row-major: O(1) [adjacent] *)
   deg : int array;
   edges : (int * int) list;
   table : int array;
@@ -90,12 +89,6 @@ let make ?coords ~name ~n edge_list =
           fill.(q) <- fill.(q) + 1)
         l)
     adj;
-  let adjm = Bytes.make (n * n) '\000' in
-  List.iter
-    (fun (a, b) ->
-      Bytes.set adjm ((a * n) + b) '\001';
-      Bytes.set adjm ((b * n) + a) '\001')
-    edges;
   let dist = Array.make (n * n) unreachable_distance in
   let queue = Array.make (max 1 n) 0 in
   for src = 0 to n - 1 do
@@ -104,7 +97,7 @@ let make ?coords ~name ~n edge_list =
   let diameter =
     Array.fold_left (fun acc d -> if d > acc then d else acc) 0 dist
   in
-  { name; n; adj; adjm; deg; edges; table = dist; diameter; coords }
+  { name; n; adj; deg; edges; table = dist; diameter; coords }
 
 let name t = t.name
 let n_qubits t = t.n
@@ -112,15 +105,16 @@ let edges t = t.edges
 let neighbors t q = t.adj.(q)
 let degree t q = t.deg.(q)
 (* Both endpoints are validated: an out-of-range [a] would otherwise index a
-   wrong row of the flat tables (or escape into a bare [Bytes.get]
-   exception), turning a caller bug into silent garbage. *)
+   wrong row of the flat table, turning a caller bug into silent
+   garbage. *)
 let check_pair fn t a b =
   if a < 0 || a >= t.n || b < 0 || b >= t.n then
     invalid_arg (Fmt.str "Coupling.%s: qubit pair (%d,%d) out of range" fn a b)
 
+(* Edges are exactly the pairs at distance 1 (self-loops are rejected). *)
 let adjacent t a b =
   check_pair "adjacent" t a b;
-  Bytes.get t.adjm ((a * t.n) + b) <> '\000'
+  t.table.((a * t.n) + b) = 1
 
 let reachable t a b =
   check_pair "reachable" t a b;

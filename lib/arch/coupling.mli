@@ -40,7 +40,7 @@ val degree : t -> int -> int
 (** O(1): read from the precomputed degree array. *)
 
 val adjacent : t -> int -> int -> bool
-(** One probe of the precomputed adjacency matrix. Raises
+(** One probe of the distance table (an edge is a pair at distance 1). Raises
     [Invalid_argument] if either endpoint is out of range (both ends are
     validated — historically only the second was, letting a bad first
     index read the wrong matrix row). *)

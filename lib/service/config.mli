@@ -60,7 +60,7 @@ val make :
   t
 (** Defaults: 1 job, 1024 cache entries, no byte cap, no cache file,
     {!Frame.default_max_bytes}, queue capacity 64, backlog 64, no
-    deadline, no signal handling, {!default_write_watermark_bytes}, {!default_max_connections}.
-    Raises [Invalid_argument] on [jobs < 1], [queue_capacity < 1],
-    [timeout_ms < 1], [write_watermark_bytes < 1] or
-    [max_connections < 1]. *)
+    deadline, no signal handling, {!default_write_watermark_bytes},
+    {!default_max_connections}. Raises [Invalid_argument] on [jobs < 1],
+    [queue_capacity < 1], [timeout_ms < 1], [write_watermark_bytes < 1]
+    or [max_connections < 1]. *)

@@ -195,9 +195,9 @@ let disconnect st c =
   close_conn st c
 
 (* Append one serialised frame to the connection's output. Queries the
-   write fault point here — once per frame, like the threaded server —
-   and treats a fired fault as the vanished client it simulates. Returns
-   [false] when the connection died. *)
+   write fault point here — once per frame — and treats a fired fault as
+   the vanished client it simulates. Returns [false] when the connection
+   died. *)
 let emit st c ~ok frame =
   if Faults.fire Faults.Frame_write_error then begin
     disconnect st c;
@@ -376,7 +376,7 @@ let handle_line st c now line =
         Queue.add
           (Ready { frame = Ops.shutdown_frame ?id (); ok = true })
           c.replies;
-        (* like the threaded connection loop: nothing after shutdown *)
+        (* nothing on this connection is read after shutdown *)
         c.reading <- false;
         Queue.clear c.pending_lines;
         Buffer.clear c.ibuf;

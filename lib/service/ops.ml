@@ -89,8 +89,8 @@ let cache_info_json cache =
       ("counters", Protocol.cache_counters_to_json (Cache.counters cache));
     ]
 
-(* [get_cache]/[set_cache] read and replace the loop thread's cache
-   pointer. *)
+(* [get_cache]/[set_cache] read and replace the server's cache pointer
+   under the caller's lock. *)
 let handle_cache ~(cfg : Config.t) ~get_cache ~set_cache ?id action =
   let path_or ~fallback = function
     | Some p -> Ok p
@@ -145,7 +145,7 @@ let handle_cache ~(cfg : Config.t) ~get_cache ~set_cache ?id action =
                ("entries", Json.Int (Cache.length cache));
              ])))
 
-(* Startup/shutdown plumbing shared verbatim by both servers. *)
+(* Startup/shutdown plumbing. *)
 
 let load_or_create_cache (cfg : Config.t) =
   match cfg.Config.cache_file with
