@@ -101,7 +101,7 @@ let all =
   in
   List.stable_sort (fun a b -> Stdlib.compare a.n_qubits b.n_qubits) entries
 
-(* Large-scale tier (PR 10): circuits sized for the 100–409-qubit
+(* Large-scale tier: circuits sized for the 100–409-qubit
    large-tier devices, kept out of [all] so the paper's 71-benchmark envelope stays
    pinned. Stretches to ~100k gates; everything is lazy, so nothing here
    costs anything until a bench/fuzz run asks for it. *)

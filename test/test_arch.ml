@@ -213,14 +213,18 @@ let plain_bfs n edges src =
 
 (* On any coupling up to the cap — connected or not — every table row
    holds exactly the integers of a plain BFS, -1 unreachable sentinel
-   included, and the derived queries (distance, reachable, diameter,
-   connected, footprint) agree with it. *)
+   included, and the derived queries (adjacent, distance, reachable,
+   diameter, connected, footprint) agree with it and the edge list. *)
 let prop_table_equals_bfs =
   QCheck.Test.make ~count:60
     ~name:"distance table = plain BFS (incl. -1 sentinel)" big_graph_arb
     (fun (n, edges) ->
       let g = Arch.Coupling.make ~name:"g" ~n edges in
       let table = Arch.Coupling.distance_table g in
+      let edge_set = Hashtbl.create (List.length edges) in
+      List.iter
+        (fun (a, b) -> Hashtbl.replace edge_set (min a b, max a b) ())
+        edges;
       let ok = ref (Array.length table = n * n) in
       let diameter = ref 0 and connected = ref true in
       for a = 0 to n - 1 do
@@ -229,6 +233,8 @@ let prop_table_equals_bfs =
           let d = row.(b) in
           if table.((a * n) + b) <> d then ok := false;
           if Arch.Coupling.reachable g a b <> (d >= 0) then ok := false;
+          let edge = Hashtbl.mem edge_set (min a b, max a b) in
+          if Arch.Coupling.adjacent g a b <> edge then ok := false;
           if d >= 0 && Arch.Coupling.distance g a b <> d then ok := false;
           if d > !diameter then diameter := d;
           if d < 0 then connected := false
@@ -382,7 +388,17 @@ let test_by_name () =
   Alcotest.(check bool) "tiny heavy-hex" true
     (Arch.Devices.by_name "heavy-hex-1" = None);
   Alcotest.(check bool) "garbled heavy-hex" true
-    (Arch.Devices.by_name "heavy-hex-x" = None)
+    (Arch.Devices.by_name "heavy-hex-x" = None);
+  (* malformed or above-cap sizes are unknown devices, never an exception *)
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) name true (Arch.Devices.by_name name = None))
+    [
+      "ring-2"; "linear--3"; "linear-0"; "grid--1x4"; "grid-0x5";
+      "linear-513"; "full-1500"; "grid-23x23"; "heavy-hex-15";
+      "linear-200000";
+    ];
+  is "linear-512" "linear-512"
 
 let test_ring_grid () =
   let r = Arch.Devices.ring 6 in
