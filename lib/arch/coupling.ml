@@ -1,6 +1,6 @@
-(* One distance provider: every device precomputes the all-pairs matrix
-   [D] of the paper's maQAM (Table II) into a single flat row-major
-   table, up to [max_qubits] qubits. *)
+(* Every device precomputes the all-pairs distance matrix [D] of the
+   paper's maQAM (Table II) into one flat row-major table; [max_qubits]
+   bounds its n² size. *)
 
 let max_qubits = 512
 
@@ -104,6 +104,7 @@ let n_qubits t = t.n
 let edges t = t.edges
 let neighbors t q = t.adj.(q)
 let degree t q = t.deg.(q)
+
 (* Both endpoints are validated: an out-of-range [a] would otherwise index a
    wrong row of the flat table, turning a caller bug into silent
    garbage. *)

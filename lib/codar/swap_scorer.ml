@@ -108,9 +108,6 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
   let coupling = Arch.Maqam.coupling maqam in
   let n = Arch.Coupling.n_qubits coupling in
   let edge_slots = n * n in
-  (* [visit] doubles as a per-qubit marker in [commit], so it must cover
-     qubit ids even when the edge count is below n (trees) *)
-  let visit_slots = max edge_slots n in
   let t =
     {
       maqam;
@@ -146,7 +143,7 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
       sbasic = Array.make edge_slots 0;
       in_set = Array.make edge_slots false;
       edge_stamp = Array.make edge_slots (-1);
-      visit = Array.make visit_slots 0;
+      visit = Array.make edge_slots 0;
       token = 0;
       active = [];
       buckets = [||];
