@@ -405,6 +405,133 @@ let test_prebump_snapshot_loads_cold () =
     Alcotest.(check bool) "same request misses after the bump" true
       (Cache.find t v2_key = None)
 
+(* ------------------------------------------------------------ key goldens *)
+
+(* Keys persisted by `serve --cache-file` must stay valid: the hex key of
+   every suite circuit on Tokyo with the default options, and an MD5 over
+   the newline-joined suite keys for each device × objective × stats flag.
+   Taken on the Printf-based encoder that preceded the digit writers. *)
+let suite_keys =
+  [
+      ("qft_3", "2c854fe739fdfc19");
+      ("ghz_3", "1f8bb27f6bd6af08");
+      ("grover_3x3", "83a5c252f51b8c9f");
+      ("grover_3", "e6648b0c4831c772");
+      ("grover_3x2", "4158fdafbae215e2");
+      ("tof_3", "77d76e57fff45956");
+      ("qft_4", "b222dc826ef325c0");
+      ("bv_4", "9cf234c5d1d3fd1b");
+      ("dj_4", "872542165bd61039");
+      ("adder_4", "7560e6e338e7a696");
+      ("tof_4", "f49a9ad860d684aa");
+      ("wstate_4", "a5dadbe4b166132a");
+      ("qpe_4", "de5f60dade6d6248");
+      ("qft_5", "41d4495bf0c21ef2");
+      ("ghz_5", "2a9052b3009367aa");
+      ("grover_4", "8a36f9eacc68b9a1");
+      ("tof_5", "929c98d04b6e5ef8");
+      ("oracle_5", "2c43f6ff3d6f9aa1");
+      ("qft_6", "472e345baa4e4a02");
+      ("bv_6", "87a71c56d2e127ac");
+      ("dj_6", "94988bc576555a58");
+      ("adder_6", "8ec2fb3d99e8564b");
+      ("qaoa_6", "6433897ea45d83d1");
+      ("tof_6", "1c52d1f18ba22b0b");
+      ("oracle_6", "85cab44f14c3a6bf");
+      ("simon_6", "a02da4253a9a2062");
+      ("qpe_6", "d5016eb267f49a36");
+      ("qft_7", "d8ef69e2e35e33d3");
+      ("qft_8", "d8255867b16f3cb8");
+      ("ghz_8", "bd8c1a5b48a9a584");
+      ("bv_8", "e39ba2009fbde9aa");
+      ("dj_8", "9d133ad888d5448c");
+      ("adder_8", "454c8de786f16fe6");
+      ("qaoa_8", "4d0ebdd6153cd21e");
+      ("tof_8", "c1d40cb268ed6001");
+      ("oracle_8", "7527503912fafbdd");
+      ("wstate_8", "8edfe5138e8e0024");
+      ("simon_8", "00af2ef1a460e377");
+      ("qpe_8", "89bb1959932b6f4c");
+      ("qft_10", "85ddbb193916a0c5");
+      ("bv_10", "8938bf5529d7dc28");
+      ("dj_10", "3f6343c0168f323c");
+      ("adder_10", "82d8ea27d5a177ea");
+      ("qaoa_10", "4bd152beb2846405");
+      ("tof_10", "9d3c02ab5e2415fb");
+      ("oracle_10", "58539fba24150665");
+      ("simon_10", "a05986af6f8217dd");
+      ("qft_12", "f7218dc32c9e2c50");
+      ("ghz_12", "d8c071ce8a064d33");
+      ("bv_12", "db581a018aaea1b5");
+      ("dj_12", "7481df2863ecea38");
+      ("adder_12", "624b1f990759e4c1");
+      ("qaoa_12", "c40f82023f4bd0ad");
+      ("oracle_12", "75cd7b398cf5e536");
+      ("wstate_12", "e78d9eda85bd0130");
+      ("bv_13", "3499fcf6603426c8");
+      ("qft_14", "c51ea76a4780ea0d");
+      ("ghz_14", "3bfff711d7a528df");
+      ("adder_14", "88dee3a8f8cd7cd9");
+      ("qaoa_14", "709a349533228e53");
+      ("oracle_14", "6d242903abe289a1");
+      ("bv_15", "6187612fc0fa241a");
+      ("qft_16", "54e9c8b1c8de85f9");
+      ("ghz_16", "ed536b10e8e30873");
+      ("bv_16", "81c92d5e5cd38b9a");
+      ("adder_16", "0ce705985a1a1418");
+      ("qaoa_16", "37967fb7cc8a04db");
+      ("rand_16_30k", "b8889beea223476c");
+      ("ghz_36", "87b34bab2d72833d");
+      ("qaoa_36", "ac44b2bccfc88ec6");
+      ("rand_36", "ed35a4d8250f83f7");
+  ]
+
+let key_digests =
+  [
+    ("tokyo", "makespan", false, "5398fabc25bae7d74c475b2df2a1dc5f");
+    ("tokyo", "makespan", true, "e37bce9b0377ce1d164c74142350b0db");
+    ("tokyo", "slack", false, "0ce42efcfed40d02814c2dcc1b8066bf");
+    ("tokyo", "slack", true, "b6822118f0ae7b8089b524e65336fcc8");
+    ("tokyo", "depth", false, "a913e2f499ea7a407a14b9c73da008aa");
+    ("tokyo", "depth", true, "8a75a1032770341b2e9d093875ebd92a");
+    ("tokyo", "t2", false, "ae82319d66f851bd47c7b5f360e8f979");
+    ("tokyo", "t2", true, "f2caf63a329e9d388cee83df8d1ed1e7");
+    ("sycamore", "makespan", false, "12c8e9b840b244a33141a7ffd9aba79e");
+    ("sycamore", "makespan", true, "f871ed465dd17d2519430cf6a204480d");
+    ("sycamore", "slack", false, "b8a74f19999c48c350abf18ff6d33bba");
+    ("sycamore", "slack", true, "7a38066f19b750d3bebcaae7356bd1cb");
+    ("sycamore", "depth", false, "81594fd742dffe2d737edb4d2c8221a5");
+    ("sycamore", "depth", true, "d12b008f84a5a92af9fe06390130416f");
+    ("sycamore", "t2", false, "e1f2959bfa664bc26f0b3f4a3cd0929e");
+    ("sycamore", "t2", true, "923b11dca62798312da91a2b706d448c");
+  ]
+
+let test_suite_keys () =
+  let keys maqam objective collect_stats =
+    List.map
+      (fun (e : Workloads.Suite.entry) ->
+        Fp.compute ~collect_stats ~objective ~circuit:(Lazy.force e.circuit)
+          ~maqam ~router:"codar" ~placement:"sabre" ~restarts:8 ~seed:0 ())
+      Workloads.Suite.all
+  in
+  List.iter2
+    (fun (e : Workloads.Suite.entry) key ->
+      Alcotest.(check string) e.name (List.assoc e.name suite_keys) key)
+    Workloads.Suite.all (keys tokyo "makespan" false);
+  let sycamore =
+    Arch.Maqam.make ~coupling:Arch.Devices.sycamore_54 ~durations:sc
+  in
+  List.iter
+    (fun (device, objective, collect_stats, digest) ->
+      let maqam = if device = "tokyo" then tokyo else sycamore in
+      Alcotest.(check string)
+        (Fmt.str "%s/%s/stats=%b" device objective collect_stats)
+        digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n" (keys maqam objective collect_stats)))))
+    key_digests
+
 let () =
   Alcotest.run "cache"
     [
@@ -413,6 +540,7 @@ let () =
           Alcotest.test_case "FNV-1a vectors" `Quick test_fnv_vectors;
           Alcotest.test_case "versioned prefix" `Quick test_versioned_prefix;
           Alcotest.test_case "option sensitivity" `Quick test_sensitivity;
+          Alcotest.test_case "suite keys" `Quick test_suite_keys;
           QCheck_alcotest.to_alcotest prop_fingerprint_canonical;
           QCheck_alcotest.to_alcotest prop_distinct_circuits_distinct_bytes;
         ] );
