@@ -777,6 +777,44 @@ let smoke () =
        rescanning loop allocated 5170 and 37245 *)
     [ ("qft_16", Arch.Devices.ibm_q20_tokyo, 64.);
       ("rand_36", Arch.Devices.sycamore_54, 64.) ];
+  (* front-end allocation fence: the QASM reader lexes onto a kept token
+     tape and the fingerprint writes its digits and hashes without boxing,
+     so what each allocates per gate is the circuit it returns and the
+     canonical bytes. The parse is measured on the second call: the first
+     grows the kept tape. *)
+  List.iter
+    (fun (name, coupling) ->
+      let circuit =
+        match Workloads.Suite.find name with
+        | Some e -> Lazy.force e.circuit
+        | None -> Fmt.failwith "smoke: benchmark %s missing" name
+      in
+      let maqam = Arch.Maqam.make ~coupling ~durations:superconducting in
+      let qasm = Qasm.Printer.to_string circuit in
+      let gates = float_of_int (Qc.Circuit.length circuit) in
+      let words_per_gate f =
+        Gc.minor ();
+        let minor0, promoted0, major0 = Gc.counters () in
+        f ();
+        Gc.minor ();
+        let minor, promoted, major = Gc.counters () in
+        (minor +. major -. promoted -. (minor0 +. major0 -. promoted0)) /. gates
+      in
+      ignore (Qasm.Parser.parse qasm);
+      let fence layer bound f =
+        let per_gate = words_per_gate f in
+        Fmt.pr "smoke: %s %s/%s: %.1f words/gate (bound %.0f)@." layer name
+          (Arch.Coupling.name coupling) per_gate bound;
+        if per_gate > bound then
+          Fmt.failwith "smoke: %s on %s/%s allocated %.1f words per gate (bound %.0f)"
+            layer name (Arch.Coupling.name coupling) per_gate bound
+      in
+      fence "Qasm.Parser.parse" 64. (fun () -> ignore (Qasm.Parser.parse qasm));
+      fence "Fingerprint.compute" 16. (fun () ->
+          ignore
+            (Cache.Fingerprint.compute ~circuit ~maqam ~router:"codar"
+               ~placement:"sabre" ~restarts:1 ~seed:0 ())))
+    [ ("qft_16", Arch.Devices.ibm_q20_tokyo); ("rand_36", Arch.Devices.sycamore_54) ];
   (* parallel path: the pool and the portfolio must agree with their
      sequential selves on every runtest *)
   let circuits =

@@ -13,26 +13,53 @@
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* a plain loop over a local Int64: the native compiler keeps it unboxed,
+   where a closure over a ref boxed two Int64s per byte *)
 let fnv1a64 s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    let byte = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h byte) fnv_prime
+  done;
   !h
 
-let to_hex h = Printf.sprintf "%016Lx" h
+(* digit writers: the same bytes as the Printf/string_of_int encoding,
+   written without allocating *)
+
+let hex_digit d = "0123456789abcdef".[d]
+
+let add_hex b v digits =
+  for k = digits - 1 downto 0 do
+    Buffer.add_char b (hex_digit ((v lsr (4 * k)) land 15))
+  done
+
+(* 16 lower-case hex digits, zero-padded; inlined so the Int64 is never
+   boxed *)
+let[@inline] add_hex64 b h =
+  add_hex b (Int64.to_int (Int64.shift_right_logical h 32)) 8;
+  add_hex b (Int64.to_int h land 0xffff_ffff) 8
+
+let to_hex h =
+  let b = Buffer.create 16 in
+  add_hex64 b h;
+  Buffer.contents b
 
 (* canonical encoding --------------------------------------------------- *)
 
 let add_float b f =
   (* bit-exact: distinguishes -0. from 0. and every NaN payload; immune to
      printf rounding *)
-  Buffer.add_string b (Printf.sprintf "%016Lx" (Int64.bits_of_float f))
+  add_hex64 b (Int64.bits_of_float f)
+
+(* decimal digits of [n <= 0] negated: counting down from zero reaches
+   min_int, which has no positive counterpart *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
 
 let add_int b i =
-  Buffer.add_string b (string_of_int i);
+  if i < 0 then Buffer.add_char b '-';
+  add_digits b (if i < 0 then i else -i);
   Buffer.add_char b ';'
 
 let add_string b s =

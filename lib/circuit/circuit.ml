@@ -1,20 +1,22 @@
 type t = { n_qubits : int; gates : Gate.t list }
 
+let check_qubit n g q =
+  if q < 0 || q >= n then
+    invalid_arg
+      (Fmt.str "Circuit.make: %a references qubit %d outside [0,%d)" Gate.pp
+         g q n)
+
+(* matches on the gate's shape rather than building its qubit list *)
 let check_gate n g =
-  let qs = Gate.qubits g in
-  List.iter
-    (fun q ->
-      if q < 0 || q >= n then
-        invalid_arg
-          (Fmt.str "Circuit.make: %a references qubit %d outside [0,%d)"
-             Gate.pp g q n))
-    qs;
   match g with
+  | Gate.One (_, q) | Gate.Measure (q, _) -> check_qubit n g q
   | Gate.Two (_, q1, q2) ->
+    check_qubit n g q1;
+    check_qubit n g q2;
     if q1 = q2 then
       invalid_arg
         (Fmt.str "Circuit.make: %a repeats operand %d" Gate.pp g q1)
-  | Gate.One _ | Gate.Barrier _ | Gate.Measure _ -> ()
+  | Gate.Barrier qs -> List.iter (check_qubit n g) qs
 
 let make ~n_qubits gates =
   if n_qubits < 0 then invalid_arg "Circuit.make: negative width";

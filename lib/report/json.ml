@@ -105,20 +105,22 @@ let parse_exn s =
   let n = String.length s in
   let fail pos msg = raise (Parse (pos, msg)) in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* the byte at [pos] is read only after a bounds check, never boxed *)
+  let looking_at c = !pos < n && String.unsafe_get s !pos = c in
   let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some _ | None -> ()
+  let skip_ws () =
+    while
+      !pos < n
+      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      advance ()
+    done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail !pos (Printf.sprintf "expected %C, found %C" c c')
-    | None -> fail !pos (Printf.sprintf "expected %C, found end of input" c)
+    if looking_at c then advance ()
+    else if !pos < n then
+      fail !pos (Printf.sprintf "expected %C, found %C" c s.[!pos])
+    else fail !pos (Printf.sprintf "expected %C, found end of input" c)
   in
   let literal word value =
     let l = String.length word in
@@ -143,16 +145,28 @@ let parse_exn s =
     expect '"';
     let b = Buffer.create 16 in
     let rec go () =
-      match peek () with
-      | None -> fail !pos "unterminated string"
-      | Some '"' ->
-        advance ();
-        Buffer.contents b
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | None -> fail !pos "unterminated escape"
-        | Some c ->
+      (* copy the run of plain bytes up to the next quote, backslash or
+         control character in one piece *)
+      let start = !pos in
+      while
+        !pos < n
+        &&
+        let c = String.unsafe_get s !pos in
+        c <> '"' && c <> '\\' && Char.code c >= 0x20
+      do
+        advance ()
+      done;
+      Buffer.add_substring b s start (!pos - start);
+      if !pos >= n then fail !pos "unterminated string"
+      else
+        match s.[!pos] with
+        | '"' ->
+          advance ();
+          Buffer.contents b
+        | '\\' ->
+          advance ();
+          if !pos >= n then fail !pos "unterminated escape";
+          let c = s.[!pos] in
           advance ();
           (match c with
           | '"' -> Buffer.add_char b '"'
@@ -176,13 +190,8 @@ let parse_exn s =
               Buffer.add_char b (Char.chr (0x80 lor (v land 0x3f)))
             end
           | c -> fail (!pos - 1) (Printf.sprintf "invalid escape \\%c" c));
-          go ())
-      | Some c when Char.code c < 0x20 ->
-        fail !pos "raw control character in string"
-      | Some c ->
-        advance ();
-        Buffer.add_char b c;
-        go ()
+          go ()
+        | _ -> fail !pos "raw control character in string"
     in
     go ()
   in
@@ -220,24 +229,24 @@ let parse_exn s =
   let rec parse_value depth =
     if depth > max_depth then fail !pos "nesting too deep";
     skip_ws ();
-    match peek () with
-    | None -> fail !pos "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some '[' ->
+    if !pos >= n then fail !pos "unexpected end of input";
+    match s.[!pos] with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> String (parse_string ())
+    | '-' | '0' .. '9' -> parse_number ()
+    | '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if looking_at ']' then begin
         advance ();
         List []
       end
       else begin
         let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while looking_at ',' do
           advance ();
           items := parse_value (depth + 1) :: !items;
           skip_ws ()
@@ -245,10 +254,10 @@ let parse_exn s =
         expect ']';
         List (List.rev !items)
       end
-    | Some '{' ->
+    | '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if looking_at '}' then begin
         advance ();
         Obj []
       end
@@ -263,7 +272,7 @@ let parse_exn s =
         in
         let fields = ref [ field () ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while looking_at ',' do
           advance ();
           fields := field () :: !fields;
           skip_ws ()
@@ -271,7 +280,7 @@ let parse_exn s =
         expect '}';
         Obj (List.rev !fields)
       end
-    | Some c -> fail !pos (Printf.sprintf "unexpected character %C" c)
+    | c -> fail !pos (Printf.sprintf "unexpected character %C" c)
   in
   let v = parse_value 0 in
   skip_ws ();

@@ -45,6 +45,27 @@ let test_versioned_prefix () =
     "canonical bytes carry the codar-fp/2 version tag" true
     (String.length b >= 10 && String.sub b 0 10 = "codar-fp/2")
 
+(* The hand-written digit writers against the Printf/string_of_int forms
+   they replaced, at the edges: negative and extreme integers, zero, and
+   64-bit patterns with the top bit set. *)
+let test_digit_writers () =
+  List.iter
+    (fun h ->
+      Alcotest.(check string) (Printf.sprintf "to_hex %Ld" h)
+        (Printf.sprintf "%016Lx" h) (Fp.to_hex h))
+    [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x00f0_0000_0000_0abcL ];
+  List.iter
+    (fun seed ->
+      let b =
+        Fp.canonical_bytes ~circuit:(Qc.Circuit.make ~n_qubits:1 [])
+          ~maqam:tokyo ~router:"codar" ~placement:"sabre" ~restarts:8 ~seed ()
+      in
+      let tail = Printf.sprintf "makespan8;%s;0;" (string_of_int seed) in
+      let n = String.length tail in
+      Alcotest.(check string) (Printf.sprintf "seed %d" seed) tail
+        (String.sub b (String.length b - n) n))
+    [ 0; 7; 10; -1; -10; 1234567890; max_int; min_int ]
+
 (* ------------------------------------------------------------ sensitivity *)
 
 let test_sensitivity () =
@@ -539,6 +560,7 @@ let () =
         [
           Alcotest.test_case "FNV-1a vectors" `Quick test_fnv_vectors;
           Alcotest.test_case "versioned prefix" `Quick test_versioned_prefix;
+          Alcotest.test_case "digit writers" `Quick test_digit_writers;
           Alcotest.test_case "option sensitivity" `Quick test_sensitivity;
           Alcotest.test_case "suite keys" `Quick test_suite_keys;
           QCheck_alcotest.to_alcotest prop_fingerprint_canonical;

@@ -7,36 +7,39 @@ let gate = Alcotest.testable Qc.Gate.pp Qc.Gate.equal
 
 (* ------------------------------------------------------------------ lexer *)
 
+let lex src =
+  let t = Qasm.Lexer.create () in
+  Qasm.Lexer.lex t src;
+  t
+
 let test_lexer_basics () =
-  let toks = Qasm.Lexer.tokenize "cx q[0], q[1]; // comment\nrz(pi/2) q[0];" in
-  Alcotest.(check int) "token count" 22 (List.length toks);
-  (match toks with
-  | { Qasm.Lexer.token = Qasm.Lexer.Ident "cx"; line = 1 } :: _ -> ()
-  | _ -> Alcotest.fail "first token");
-  let last = List.nth toks (List.length toks - 1) in
-  Alcotest.(check int) "line numbers advance" 2 last.Qasm.Lexer.line
+  let t = lex "cx q[0], q[1]; // comment\nrz(pi/2) q[0];" in
+  Alcotest.(check int) "token count" 22 t.n;
+  Alcotest.(check char) "first token is an identifier" 'a'
+    (Bytes.get t.kind 0);
+  Alcotest.(check string) "first token" "cx" (Qasm.Lexer.text t 0);
+  Alcotest.(check int) "first line" 1 t.line.(0);
+  Alcotest.(check char) "pi is its own kind" 'p' (Bytes.get t.kind 13);
+  Alcotest.(check int) "line numbers advance" 2 t.line.(t.n - 1)
 
 let test_lexer_numbers () =
-  let toks = Qasm.Lexer.tokenize "1.5e-3 2 .25" in
+  let t = lex "1.5e-3 2 .25" in
   let nums =
     List.filter_map
-      (fun t ->
-        match t.Qasm.Lexer.token with
-        | Qasm.Lexer.Number f -> Some f
-        | _ -> None)
-      toks
+      (fun i -> if Bytes.get t.kind i = '0' then Some t.num.(i) else None)
+      (List.init t.n Fun.id)
   in
   Alcotest.(check (list (float 1e-12))) "numbers" [ 0.0015; 2.; 0.25 ] nums
 
 let test_lexer_errors () =
   Alcotest.(check bool) "bad char" true
     (try
-       ignore (Qasm.Lexer.tokenize "h q[0]; @");
+       ignore (lex "h q[0]; @");
        false
      with Qasm.Lexer.Lex_error (1, _) -> true);
   Alcotest.(check bool) "unterminated string" true
     (try
-       ignore (Qasm.Lexer.tokenize "include \"qelib");
+       ignore (lex "include \"qelib");
        false
      with Qasm.Lexer.Lex_error _ -> true)
 
@@ -564,13 +567,27 @@ let error_triples =
   ("qreg 5[1];", Parse (1, "expected identifier"));
   ("qreg q[1]; barrier q[2];", Parse (1, "index out of range for qreg q"));
     ("qreg q[1]; gate g a { barrier a; h a;", Parse (0, "unterminated gate body"));
-    ("qreg q[1]; gate g() { h a; }", Parse (1, "expected { after gate header"));
-  ]
+    ]
 
 let test_error_triples () =
   List.iter
     (fun (src, expected) -> Alcotest.check outcome_t src expected (outcome src))
     error_triples
+
+(* Braces are tokens. They were once rewritten to the identifiers
+   __lbrace__ and __rbrace__ before lexing, so those identifiers acted as
+   braces and a brace could stand where an identifier was expected. *)
+let test_brace_tokens () =
+  List.iter
+    (fun (src, expected) -> Alcotest.check outcome_t src expected (outcome src))
+    [
+      ( "qreg q[1]; gate g a __lbrace__ h a; __rbrace__ g q[0];",
+        Parse (1, "expected { after gate header") );
+      (* read "expected { after gate header" when { was an identifier *)
+      ("qreg q[1]; gate g() { h a; }", Parse (1, "expected identifier"));
+      ( "qreg q[1]; gate __lbrace__ a { h a; } __lbrace__ q[0];",
+        Ok (render (Qc.Circuit.make ~n_qubits:1 [ Qc.Gate.h 0 ])) );
+    ]
 
 let () =
   Alcotest.run "qasm"
@@ -616,5 +633,6 @@ let () =
           Alcotest.test_case "corpus parse digests" `Quick test_corpus_digests;
           Alcotest.test_case "hand battery" `Quick test_battery;
           Alcotest.test_case "error triples" `Quick test_error_triples;
+          Alcotest.test_case "brace tokens" `Quick test_brace_tokens;
         ] );
     ]

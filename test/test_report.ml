@@ -107,6 +107,45 @@ let test_unicode_escapes () =
     (Json.String "A\xc3\xa9\xe2\x82\xac")
     (parse_ok "\"\\u0041\\u00e9\\u20ac\"")
 
+(* The string reader copies runs of plain bytes in one piece; escapes and
+   raw control characters end a run. Values, error offsets and messages
+   are pinned at the run edges. *)
+let test_string_runs () =
+  (* every 7th byte an escaped character, the rest plain ASCII and UTF-8;
+     an escape opens and closes the string *)
+  let long =
+    String.init 20_000 (fun i ->
+        match i mod 7 with
+        | 0 -> "\"\\\n\t\001\031/".[i / 7 mod 7]
+        | 3 -> '\xc3'
+        | 4 -> '\xa9'
+        | _ -> Char.chr (32 + (i mod 90)))
+  in
+  List.iter
+    (fun str ->
+      Alcotest.check json_t "escaped text round-trips" (Json.String str)
+        (parse_ok (Json.to_string (Json.String str))))
+    [ long; "\n" ^ long ^ "\n"; ""; "\""; "plain" ];
+  Alcotest.check json_t "\\u escapes between runs"
+    (Json.String "ab\001cd\xc3\xa9ef\xe2\x82\xacA")
+    (parse_ok {|"ab\u0001cd\u00e9ef\u20ac\u0041"|});
+  List.iter
+    (fun (src, expected) ->
+      match Json.parse src with
+      | Ok _ -> Alcotest.failf "%S should not parse" src
+      | Error msg -> Alcotest.(check string) src expected msg)
+    [
+      ("\"plain run\001then more\"", "JSON error at offset 10: raw control character in string");
+      ("\"abc", "JSON error at offset 4: unterminated string");
+      ("\"abc\\", "JSON error at offset 5: unterminated escape");
+      ({|"ab\qcd"|}, "JSON error at offset 4: invalid escape \\q");
+      ({|"ab\u12"|}, "JSON error at offset 5: truncated \\u escape");
+      ({|"ab\uZZZZ"|}, "JSON error at offset 5: invalid \\u escape");
+      ({|{"k\n\u0001":1, "x":2}|}, "JSON error at offset 18: raw control character in string");
+      ("[\"a\",\"b\"", "JSON error at offset 8: expected ']', found end of input");
+      ("[\"a\" \"b\"]", "JSON error at offset 5: expected ']', found '\"'");
+    ]
+
 let test_number_shapes () =
   Alcotest.check json_t "integral literal lexes Int" (Json.Int 42)
     (parse_ok "42");
@@ -235,6 +274,7 @@ let () =
           Alcotest.test_case "rejects truncated literal" `Quick
             test_rejects_lone_value_garbage;
           Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes;
+          Alcotest.test_case "string runs" `Quick test_string_runs;
           Alcotest.test_case "number shapes" `Quick test_number_shapes;
           Alcotest.test_case "field order significant" `Quick
             test_field_order_significant;
