@@ -746,6 +746,12 @@ let smoke () =
      the bounds sit at 2x the measured value, so a quadratic front rescan
      or per-step allocation creeping back fails runtest. Times are printed
      for information only. *)
+  let allocated () =
+    (* the counters only catch up with the minor heap at a collection *)
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
   List.iter
     (fun (name, coupling, bound) ->
       let circuit =
@@ -754,12 +760,6 @@ let smoke () =
         | None -> Fmt.failwith "smoke: benchmark %s missing" name
       in
       let maqam = Arch.Maqam.make ~coupling ~durations:superconducting in
-      let allocated () =
-        (* the counters only catch up with the minor heap at a collection *)
-        Gc.minor ();
-        let minor, promoted, major = Gc.counters () in
-        minor +. major -. promoted
-      in
       let words0 = allocated () in
       let t0 = Unix.gettimeofday () in
       ignore (Sabre.Initial_mapping.reverse_traversal ~maqam circuit);
@@ -781,7 +781,9 @@ let smoke () =
      tape and the fingerprint writes its digits and hashes without boxing,
      so what each allocates per gate is the circuit it returns and the
      canonical bytes. The parse is measured on the second call: the first
-     grows the kept tape. *)
+     grows the kept tape. Measured 29.0/15.7 words per gate for parse and
+     7.8/4.3 for the fingerprint; the token-list reader took 267/236 and
+     the Printf encoder 130/68. *)
   List.iter
     (fun (name, coupling) ->
       let circuit =
@@ -791,22 +793,18 @@ let smoke () =
       in
       let maqam = Arch.Maqam.make ~coupling ~durations:superconducting in
       let qasm = Qasm.Printer.to_string circuit in
-      let gates = float_of_int (Qc.Circuit.length circuit) in
-      let words_per_gate f =
-        Gc.minor ();
-        let minor0, promoted0, major0 = Gc.counters () in
-        f ();
-        Gc.minor ();
-        let minor, promoted, major = Gc.counters () in
-        (minor +. major -. promoted -. (minor0 +. major0 -. promoted0)) /. gates
-      in
       ignore (Qasm.Parser.parse qasm);
       let fence layer bound f =
-        let per_gate = words_per_gate f in
+        let words0 = allocated () in
+        f ();
+        let per_gate =
+          (allocated () -. words0) /. float_of_int (Qc.Circuit.length circuit)
+        in
         Fmt.pr "smoke: %s %s/%s: %.1f words/gate (bound %.0f)@." layer name
           (Arch.Coupling.name coupling) per_gate bound;
         if per_gate > bound then
-          Fmt.failwith "smoke: %s on %s/%s allocated %.1f words per gate (bound %.0f)"
+          Fmt.failwith
+            "smoke: %s on %s/%s allocated %.1f words per gate (bound %.0f)"
             layer name (Arch.Coupling.name coupling) per_gate bound
       in
       fence "Qasm.Parser.parse" 64. (fun () -> ignore (Qasm.Parser.parse qasm));
@@ -814,7 +812,8 @@ let smoke () =
           ignore
             (Cache.Fingerprint.compute ~circuit ~maqam ~router:"codar"
                ~placement:"sabre" ~restarts:1 ~seed:0 ())))
-    [ ("qft_16", Arch.Devices.ibm_q20_tokyo); ("rand_36", Arch.Devices.sycamore_54) ];
+    [ ("qft_16", Arch.Devices.ibm_q20_tokyo);
+      ("rand_36", Arch.Devices.sycamore_54) ];
   (* parallel path: the pool and the portfolio must agree with their
      sequential selves on every runtest *)
   let circuits =

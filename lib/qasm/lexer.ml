@@ -30,7 +30,7 @@ let grow t =
   t.line <- extend t.line 0;
   t.num <- extend t.num 0.
 
-let push t kind start len line =
+let[@inline] push t kind start len line =
   if t.n = capacity t then grow t;
   Bytes.unsafe_set t.kind t.n kind;
   t.start.(t.n) <- start;
@@ -40,9 +40,9 @@ let push t kind start len line =
 
 let text t i = String.sub t.src t.start.(i) t.len.(i)
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_digit c = c >= '0' && c <= '9'
-let is_ident_char c = is_ident_start c || is_digit c || c = '.'
+let[@inline] is_ident_start = function 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
+let[@inline] is_digit = function '0' .. '9' -> true | _ -> false
+let[@inline] is_ident_char c = is_ident_start c || is_digit c || c = '.'
 
 (* Up to 15 digits are below 2^53, so the integer converts to the same
    double that float_of_string would read. *)

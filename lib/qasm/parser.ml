@@ -43,7 +43,7 @@ type state = {
   mutable qv : int array;  (* qubits of one broadcast application *)
 }
 
-let line st = if st.pos < st.t.n then st.t.line.(st.pos) else 0
+let[@inline] line st = if st.pos < st.t.n then st.t.line.(st.pos) else 0
 
 let fail st msg = raise (Parse_error (line st, msg))
 
@@ -52,21 +52,21 @@ let fail st msg = raise (Parse_error (line st, msg))
 let fail_stmt st msg = raise (Parse_error (st.stmt_line, msg))
 
 (* kind of the next token, '\000' at the end *)
-let peek st = if st.pos < st.t.n then Bytes.unsafe_get st.t.kind st.pos else '\000'
+let[@inline] peek st = if st.pos < st.t.n then Bytes.unsafe_get st.t.kind st.pos else '\000'
 
-let advance st = st.pos <- st.pos + 1
+let[@inline] advance st = st.pos <- st.pos + 1
 
 (* consume a token, returning its index *)
-let next st =
+let[@inline] next st =
   if st.pos >= st.t.n then raise (Parse_error (0, "unexpected end of input"));
   st.pos <- st.pos + 1;
   st.pos - 1
 
-let kind st i = Bytes.get st.t.kind i
+let[@inline] kind st i = Bytes.get st.t.kind i
 
-let expect st k what = if kind st (next st) <> k then fail st ("expected " ^ what)
+let[@inline] expect st k what = if kind st (next st) <> k then fail st ("expected " ^ what)
 
-let ident st =
+let[@inline] ident st =
   let i = next st in
   if kind st i <> 'a' then fail st "expected identifier";
   i
@@ -89,8 +89,7 @@ let rec sep_list st item close msg acc =
   else if k = close then List.rev (x :: acc)
   else fail st msg
 
-(* the slice [off, off + len) of [s] equals [w] after [fold] maps each
-   byte; a loop, not a local closure, so nothing is allocated *)
+(* [s.[off .. off + len - 1]] mapped by [fold] equals [w]; allocates nothing *)
 let slice_matches fold s off len w =
   len = String.length w
   &&
@@ -100,11 +99,13 @@ let slice_matches fold s off len w =
   done;
   !k = len
 
-(* the entry of [table] named by a slice *)
+(* the entry of [table] named by a slice; lengths are compared first *)
 let lookup table fold s off len default =
   let k = ref 0 in
   while
-    !k < Array.length table && not (slice_matches fold s off len (fst table.(!k)))
+    !k < Array.length table
+    && (String.length (fst table.(!k)) <> len
+       || not (slice_matches fold s off len (fst table.(!k))))
   do
     incr k
   done;
@@ -190,7 +191,7 @@ let arity = function
   | Ccx | Cswap -> (0, 3)
   | Macro -> (0, 0)
 
-let push st g = st.gates_rev <- g :: st.gates_rev
+let[@inline] push st g = st.gates_rev <- g :: st.gates_rev
 
 (* Multi-qubit built-ins with no native gate are decomposed. Parameter
    counts were checked against [arity] before this is called. *)
