@@ -782,8 +782,8 @@ let smoke () =
      so what each allocates per gate is the circuit it returns and the
      canonical bytes. The parse is measured on the second call: the first
      grows the kept tape. Measured 29.0/15.7 words per gate for parse and
-     7.8/4.3 for the fingerprint; the token-list reader took 267/236 and
-     the Printf encoder 130/68. *)
+     7.8/4.3 for the fingerprint; the token-list reader took 279.5/243.2
+     and the Printf encoder 137.6/71.8. *)
   List.iter
     (fun (name, coupling) ->
       let circuit =

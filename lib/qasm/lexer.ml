@@ -40,9 +40,10 @@ let[@inline] push t kind start len line =
 
 let text t i = String.sub t.src t.start.(i) t.len.(i)
 
-let[@inline] is_ident_start = function 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
 let[@inline] is_digit = function '0' .. '9' -> true | _ -> false
-let[@inline] is_ident_char c = is_ident_start c || is_digit c || c = '.'
+
+let[@inline] is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' | '.' -> true | _ -> false
 
 (* Up to 15 digits are below 2^53, so the integer converts to the same
    double that float_of_string would read. *)
@@ -84,7 +85,7 @@ let lex t src =
       | Some close ->
         push t '"' (at + 1) (close - at - 1) !line;
         i := close + 1)
-    | c when is_digit c || (c = '.' && at + 1 < n && is_digit src.[at + 1]) ->
+    | ('0' .. '9' | '.') as c when c <> '.' || (at + 1 < n && is_digit src.[at + 1]) ->
       let plain = ref true in
       while !i < n && continues_number src !i do
         if not (is_digit src.[!i]) then plain := false;
@@ -105,7 +106,7 @@ let lex t src =
         | Some f -> t.num.(t.n - 1) <- f
         | None -> raise (Lex_error (!line, "bad number: " ^ text))
       end
-    | c when is_ident_start c ->
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
       while !i < n && is_ident_char src.[!i] do
         incr i
       done;

@@ -89,23 +89,24 @@ let rec sep_list st item close msg acc =
   else if k = close then List.rev (x :: acc)
   else fail st msg
 
-(* [s.[off .. off + len - 1]] mapped by [fold] equals [w]; allocates nothing *)
-let slice_matches fold s off len w =
+(* [s.[off .. off + len - 1]], lower-cased if [lower], equals [w] *)
+let[@inline] slice_matches lower s off len w =
   len = String.length w
   &&
   let k = ref 0 in
-  while !k < len && fold s.[off + !k] = w.[!k] do
+  while
+    !k < len
+    && (if lower then Char.lowercase_ascii s.[off + !k] else s.[off + !k]) = w.[!k]
+  do
     incr k
   done;
   !k = len
 
-(* the entry of [table] named by a slice; lengths are compared first *)
-let lookup table fold s off len default =
+(* the entry of [table] named by a slice *)
+let lookup table lower s off len default =
   let k = ref 0 in
   while
-    !k < Array.length table
-    && (String.length (fst table.(!k)) <> len
-       || not (slice_matches fold s off len (fst table.(!k))))
+    !k < Array.length table && not (slice_matches lower s off len (fst table.(!k)))
   do
     incr k
   done;
@@ -178,7 +179,7 @@ let builtins =
        ("ccx", Ccx); ("cswap", Cswap); ("cu1", Cu1); ("cp", Cu1); ("crz", Crz) |]
 
 (* built-in names match in any case *)
-let builtin_of s off len = lookup builtins Char.lowercase_ascii s off len Macro
+let builtin_of s off len = lookup builtins true s off len Macro
 
 (* (parameters, qubits) *)
 let arity = function
@@ -286,7 +287,7 @@ let rec parse_operands st k =
 
 let find_reg st r i =
   let off = st.t.start.(i) and len = st.t.len.(i) in
-  if not (slice_matches Fun.id st.src off len r.last) then begin
+  if not (slice_matches false st.src off len r.last) then begin
     let name = String.sub st.src off len in
     match Hashtbl.find r.tbl name with
     | reg ->
@@ -326,7 +327,7 @@ let parse_macro_body st =
     | '}' ->
       advance st;
       List.rev acc
-    | 'a' when slice_matches Fun.id st.src st.t.start.(st.pos) st.t.len.(st.pos) "barrier"
+    | 'a' when slice_matches false st.src st.t.start.(st.pos) st.t.len.(st.pos) "barrier"
       ->
       (* barriers inside macros are ignored (qelib1 has none; some emitters
          add them) *)
@@ -447,7 +448,7 @@ let rec parse_statements st =
   | '\000' -> ()
   | 'a' ->
     let i = st.pos in
-    let keyword = lookup keywords Fun.id st.src st.t.start.(i) st.t.len.(i) Apply in
+    let keyword = lookup keywords false st.src st.t.start.(i) st.t.len.(i) Apply in
     if keyword <> Apply then advance st;
     (match keyword with
     | Header ->
@@ -469,9 +470,7 @@ let spare = Atomic.make None
 let max_kept = 1 lsl 16
 
 let parse src =
-  let t =
-    match Atomic.exchange spare None with Some t -> t | None -> Lexer.create ()
-  in
+  let t = match Atomic.exchange spare None with Some t -> t | None -> Lexer.create () in
   let regs what = { what; tbl = Hashtbl.create 4; last = ""; last_reg = (0, 0) } in
   Fun.protect
     ~finally:(fun () ->
